@@ -21,19 +21,11 @@ from .presentation import (
 )
 from .elements import (
     Element,
-    ElementStats,
     PresentationMismatch,
     collect,
-    commutator,
-    conjugate,
     generator,
     generators,
     identity,
-    inverse,
-    multiply,
-    normalise,
-    power,
-    stats,
 )
 from .igs import (
     Igs,
@@ -62,9 +54,8 @@ __all__ = [
     "PcPresentation", "PcpError", "PcpSyntaxError", "PcpValidationError",
     "Word", "format_word", "load_presentation", "save_presentation",
     "validate_inverse_tails",
-    "Element", "ElementStats", "PresentationMismatch",
-    "collect", "commutator", "conjugate", "generator", "generators",
-    "identity", "inverse", "multiply", "normalise", "power", "stats",
+    "Element", "PresentationMismatch",
+    "collect", "generator", "generators", "identity",
     "Igs", "PartialIgs", "SiftResult", "add_gen_to_pigs", "canonical_igs",
     "igs_by_generators", "sift", "subgroup_index", "subgroup_order",
     "subgroups_equal", "verify_igs",

@@ -25,21 +25,9 @@ class Cardinal:
                 raise ValueError(f"cardinal must be non-negative, got {value}")
         self._value = value
 
-    @classmethod
-    def finite(cls, value: int) -> Cardinal:
-        return cls(value)
-
-    @classmethod
-    def infinite(cls) -> Cardinal:
-        return cls(None)
-
     @property
     def is_finite(self) -> bool:
         return self._value is not None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._value is None
 
     @property
     def value(self) -> int:
@@ -72,8 +60,6 @@ class Cardinal:
         return "infinity" if self._value is None else str(self._value)
 
     def __repr__(self):
-        if self._value is None:
-            return "Cardinal.infinite()"
         return f"Cardinal({self._value})"
 
 

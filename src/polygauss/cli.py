@@ -185,7 +185,9 @@ def run(request: Request) -> tuple[int, str]:
             return 0, "PASS"
         raise UsageError(f"unknown command {request.command!r}")
     except (PcpError, UsageError, OSError, ValueError,
-            EnumerationBoundExceeded) as exc:
+            EnumerationBoundExceeded, RecursionError) as exc:
+        # collection recurses at least once per generator, so presentations
+        # with hundreds of generators can exhaust the interpreter's stack
         return 1, f"error: {exc}"
 
 

@@ -25,7 +25,6 @@ are exact Python integers; nothing here is approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .cardinal import Cardinal, INFINITE
@@ -34,6 +33,14 @@ from .presentation import PcPresentation, Word, format_word
 
 class PresentationMismatch(ValueError):
     """Raised when operands are bound to different presentations."""
+
+
+def check_binding(pres: PcPresentation, *elems: Element):
+    """Raise :class:`PresentationMismatch` unless every element is bound to pres."""
+    for g in elems:
+        if g.presentation is not pres and g.presentation != pres:
+            raise PresentationMismatch(
+                "elements are bound to different presentations")
 
 
 Vector = tuple[int, ...]
@@ -52,7 +59,7 @@ def _syllables(vec: Vector):
 
 
 def _unit(pres: PcPresentation, i: int) -> Vector:
-    return tuple(1 if k == i - 1 else 0 for k in range(pres.num_gens))
+    return (0,) * (i - 1) + (1,) + (0,) * (pres.num_gens - i)
 
 
 def _from_tail(pres: PcPresentation, tail) -> Vector:
@@ -110,7 +117,7 @@ def _gen_conj_by_power(pres: PcPresentation, i: int, j: int, f: int) -> Vector:
 
 def _conj_step(pres: PcPresentation, vec: Vector, j: int, sign: int) -> Vector:
     """Conjugate an element beyond depth j by g_j**sign, syllable-wise."""
-    result = tuple(0 for _ in range(pres.num_gens))
+    result = (0,) * pres.num_gens
     for k, e in reversed(_syllables(vec)):
         base = _from_tail(pres, pres.conjugate_tail(k, j, sign))
         result = _mul(pres, _pow(pres, base, e), result)
@@ -125,7 +132,7 @@ def _mul(pres: PcPresentation, a: Vector, b: Vector) -> Vector:
 
 def _inv(pres: PcPresentation, a: Vector) -> Vector:
     # (s_1 ... s_m)^-1 = s_m^-1 ... s_1^-1, built by prepending left to right
-    result = tuple(0 for _ in range(pres.num_gens))
+    result = (0,) * pres.num_gens
     for i, e in _syllables(a):
         result = _lmul_syllable(pres, i, -e, result)
     return result
@@ -134,7 +141,7 @@ def _inv(pres: PcPresentation, a: Vector) -> Vector:
 def _pow(pres: PcPresentation, a: Vector, k: int) -> Vector:
     if k < 0:
         a, k = _inv(pres, a), -k
-    result = tuple(0 for _ in range(pres.num_gens))
+    result = (0,) * pres.num_gens
     while k:
         if k & 1:
             result = _mul(pres, result, a)
@@ -142,18 +149,6 @@ def _pow(pres: PcPresentation, a: Vector, k: int) -> Vector:
         if k:
             a = _mul(pres, a, a)
     return result
-
-
-@dataclass(frozen=True)
-class ElementStats:
-    """Depth, leading exponent and relative order of an element.
-
-    The identity has depth n+1 and neither a leading exponent nor a
-    relative order.
-    """
-    depth: int
-    leading_exponent: int | None
-    relative_order: Cardinal | None
 
 
 class Element:
@@ -211,20 +206,10 @@ class Element:
             return INFINITE
         return Cardinal(r // math.gcd(self.exponents[d - 1], r))
 
-    def stats(self) -> ElementStats:
-        return ElementStats(self.depth(), self.leading_exponent(),
-                            self.relative_order())
-
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: Element):
-        if self.presentation is not other.presentation \
-                and self.presentation != other.presentation:
-            raise PresentationMismatch(
-                "elements are bound to different presentations")
-
     def __mul__(self, other: Element) -> Element:
-        self._check(other)
+        check_binding(self.presentation, other)
         return Element._wrap(self.presentation,
                              _mul(self.presentation, self.exponents, other.exponents))
 
@@ -238,7 +223,7 @@ class Element:
 
     def conjugate(self, other: Element) -> Element:
         """self conjugated by other: other^-1 * self * other."""
-        self._check(other)
+        check_binding(self.presentation, other)
         pres = self.presentation
         vec = _mul(pres, _inv(pres, other.exponents),
                    _mul(pres, self.exponents, other.exponents))
@@ -246,7 +231,7 @@ class Element:
 
     def commutator(self, other: Element) -> Element:
         """self^-1 * other^-1 * self * other."""
-        self._check(other)
+        check_binding(self.presentation, other)
         pres = self.presentation
         vec = _mul(pres, _inv(pres, self.exponents),
                    _mul(pres, _inv(pres, other.exponents),
@@ -295,10 +280,10 @@ class Element:
         return f"<Element {self}>"
 
 
-# -- module-level constructors and operations --------------------------------
+# -- module-level constructors ------------------------------------------------
 
 def identity(pres: PcPresentation) -> Element:
-    return Element._wrap(pres, tuple(0 for _ in range(pres.num_gens)))
+    return Element._wrap(pres, (0,) * pres.num_gens)
 
 
 def generator(pres: PcPresentation, i: int) -> Element:
@@ -320,35 +305,8 @@ def collect(pres: PcPresentation, word) -> Element:
         if not 1 <= i <= pres.num_gens:
             raise ValueError(f"word uses generator index {i}, valid range is "
                              f"1..{pres.num_gens}")
-    vec = tuple(0 for _ in range(pres.num_gens))
+    vec = (0,) * pres.num_gens
     for i, e in reversed(entries):
         vec = _lmul_syllable(pres, i, e, vec)
     return Element._wrap(pres, vec)
 
-
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def inverse(a: Element) -> Element:
-    return a.inverse()
-
-
-def power(a: Element, k: int) -> Element:
-    return a ** k
-
-
-def conjugate(a: Element, b: Element) -> Element:
-    return a.conjugate(b)
-
-
-def commutator(a: Element, b: Element) -> Element:
-    return a.commutator(b)
-
-
-def stats(a: Element) -> ElementStats:
-    return a.stats()
-
-
-def normalise(a: Element) -> Element:
-    return a.normalised()

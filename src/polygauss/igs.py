@@ -7,11 +7,8 @@ non-commutative analogue of Gaussian elimination.  An incoming element h
 of depth d either fills an empty slot (after normalisation), or is
 merged with the occupant k via an extended-gcd combination of their
 leading exponents; in both cases the quotients that raise the depth are
-fed back into a work list.  Two shortcuts are applied: once every slot
-from some position onward holds leading exponent 1, those slots are
-replaced by the plain generators and deeper work is discarded; and when
-the gcd of the two leading exponents equals one of them, the slot update
-and one of the quotients are skipped.
+fed back into a work list.  When the gcd of the two leading exponents
+equals one of them, the slot update and one of the quotients are skipped.
 
 :func:`igs_by_generators` drives this to closure, additionally feeding
 back relative-order powers and commutators of every changed slot, after
@@ -29,12 +26,11 @@ integer matrix) is unique per subgroup, which decides subgroup equality.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Iterable, NamedTuple, Optional
 
 from .cardinal import Cardinal, INFINITE
-from .elements import Element, generator, identity
+from .elements import Element, check_binding
 from .presentation import PcPresentation
 
 
@@ -53,21 +49,19 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def _is_normalised(u: Element) -> bool:
+def _entry_depth(pres: PcPresentation, u: Element) -> int:
+    """Depth of an igs entry, checked to be bound, non-identity and normalised."""
+    check_binding(pres, u)
+    d = u.depth()
+    if d > pres.num_gens:
+        raise ValueError("identity cannot occur in an igs")
     # normalisation makes the leading exponent positive (infinite relative
     # order) respectively a divisor of the relative order at the depth
-    d = u.depth()
-    r = u.presentation.orders[d - 1]
+    r = pres.orders[d - 1]
     lead = u.exponents[d - 1]
-    if r == 0:
-        return lead > 0
-    return r % lead == 0
-
-
-def _check_binding(pres: PcPresentation, elems: Iterable[Element]):
-    for g in elems:
-        if g.presentation is not pres and g.presentation != pres:
-            raise ValueError("element bound to a different presentation")
+    if not (lead > 0 if r == 0 else r % lead == 0):
+        raise ValueError(f"igs entry {u} is not normalised")
+    return d
 
 
 class PartialIgs:
@@ -81,13 +75,8 @@ class PartialIgs:
         if len(slots) != presentation.num_gens:
             raise ValueError(f"expected {presentation.num_gens} slots")
         for d, u in enumerate(slots, start=1):
-            if u is None:
-                continue
-            _check_binding(presentation, [u])
-            if u.depth() != d:
+            if u is not None and _entry_depth(presentation, u) != d:
                 raise ValueError(f"slot {d} holds an element of depth {u.depth()}")
-            if not _is_normalised(u):
-                raise ValueError(f"slot {d} holds a non-normalised element")
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "slots", slots)
 
@@ -123,16 +112,11 @@ class Igs:
 
     def __init__(self, presentation: PcPresentation, gens: Iterable[Element]):
         gens = tuple(gens)
-        _check_binding(presentation, gens)
         prev = 0
         for u in gens:
-            d = u.depth()
-            if d > presentation.num_gens:
-                raise ValueError("identity cannot occur in an igs")
+            d = _entry_depth(presentation, u)
             if d <= prev:
                 raise ValueError("igs depths must strictly increase")
-            if not _is_normalised(u):
-                raise ValueError(f"igs entry {u} is not normalised")
             prev = d
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "gens", gens)
@@ -157,45 +141,6 @@ class Igs:
         return f"<Igs {', '.join(str(u) for u in self.gens) or 'empty'}>"
 
 
-class _DepthQueue:
-    """Work list ordered by element depth, FIFO among equal depths."""
-
-    def __init__(self):
-        self._heap = []
-        self._count = 0
-
-    def push(self, elem: Element):
-        heapq.heappush(self._heap, (elem.depth(), self._count, elem))
-        self._count += 1
-
-    def pop(self) -> Element:
-        return heapq.heappop(self._heap)[2]
-
-    def __bool__(self):
-        return bool(self._heap)
-
-
-def _unit_suffix_start(slots) -> int:
-    """Least l such that slots l..n are all filled with leading exponent 1."""
-    low = len(slots) + 1
-    for idx in range(len(slots) - 1, -1, -1):
-        u = slots[idx]
-        if u is None or u.exponents[idx] != 1:
-            break
-        low = idx + 1
-    return low
-
-
-def _promote_unit_suffix(pres: PcPresentation, slots: list):
-    # once slots low..n all have leading exponent 1 the subgroup contains
-    # everything from depth low on, so the plain generators can stand in
-    low = _unit_suffix_start(slots)
-    for d in range(low, len(slots) + 1):
-        g = generator(pres, d)
-        if slots[d - 1] != g:
-            slots[d - 1] = g
-
-
 def add_gen_to_pigs(pigs: PartialIgs, gen: Element) -> tuple[PartialIgs, dict[int, Element]]:
     """Absorb one element: returns a partial igs generating <pigs, gen>.
 
@@ -203,49 +148,46 @@ def add_gen_to_pigs(pigs: PartialIgs, gen: Element) -> tuple[PartialIgs, dict[in
     changed to its new value.
     """
     pres = pigs.presentation
-    _check_binding(pres, [gen])
+    check_binding(pres, gen)
     n = pres.num_gens
     slots = list(pigs.slots)
-    queue = _DepthQueue()
-    queue.push(gen)
+    # pending[e] is the FIFO work list at depth e; the identity lands in
+    # pending[n + 1], which is never swept
+    pending = [[] for _ in range(n + 2)]
+    pending[gen.depth()].append(gen)
 
     def push_residue(residue: Element, d: int):
-        # the work list only ever receives elements strictly deeper than
-        # the slot just processed; this is what makes the loop terminate
-        assert residue.depth() > d, "residue failed to sink below its slot"
-        if not residue.is_identity:
-            queue.push(residue)
+        # residues sink strictly below the slot being worked, so one sweep
+        # over the depths meets every element; this is what makes it terminate
+        e = residue.depth()
+        assert e > d, "residue failed to sink below its slot"
+        pending[e].append(residue)
 
-    while queue:
-        h = queue.pop()
-        d = h.depth()
-        if d > n or d >= _unit_suffix_start(slots):
-            continue
-        k = slots[d - 1]
-        if k is None:
-            u = h.normalised()
-            slots[d - 1] = u
-            _promote_unit_suffix(pres, slots)
-            if pres.orders[d - 1] > 0:
-                q = h.leading_exponent() // u.leading_exponent()
-                push_residue(h * u ** (-q), d)
-            continue
-        a = h.leading_exponent()
-        b = k.leading_exponent()
-        if a % b == 0:
-            # gcd(a, b) = b: the occupant already covers h modulo depth d
-            push_residue(h * k ** (-(a // b)), d)
-            continue
-        g, u_co, v_co = _xgcd(a, b)
-        w = h if g == a else (h ** u_co) * (k ** v_co)
-        wn = w.normalised()
-        assert wn.depth() == d and wn.leading_exponent() == g
-        assert b % g == 0 and g != b, "slot leading exponent must shrink properly"
-        slots[d - 1] = wn
-        _promote_unit_suffix(pres, slots)
-        if g != a:
-            push_residue(h * wn ** (-(a // g)), d)
-        push_residue(k * wn ** (-(b // g)), d)
+    for d in range(1, n + 1):
+        for h in pending[d]:
+            k = slots[d - 1]
+            if k is None:
+                u = h.normalised()
+                slots[d - 1] = u
+                if pres.orders[d - 1] > 0:
+                    q = h.leading_exponent() // u.leading_exponent()
+                    push_residue(h * u ** (-q), d)
+                continue
+            a = h.leading_exponent()
+            b = k.leading_exponent()
+            if a % b == 0:
+                # gcd(a, b) = b: the occupant already covers h modulo depth d
+                push_residue(h * k ** (-(a // b)), d)
+                continue
+            g, u_co, v_co = _xgcd(a, b)
+            w = h if g == a else (h ** u_co) * (k ** v_co)
+            wn = w.normalised()
+            assert wn.depth() == d and wn.leading_exponent() == g
+            assert b % g == 0 and g != b, "slot leading exponent must shrink properly"
+            slots[d - 1] = wn
+            if g != a:
+                push_residue(h * wn ** (-(a // g)), d)
+            push_residue(k * wn ** (-(b // g)), d)
 
     result = PartialIgs(pres, slots)
     changes = {d: slots[d - 1] for d in range(1, n + 1)
@@ -256,7 +198,7 @@ def add_gen_to_pigs(pigs: PartialIgs, gen: Element) -> tuple[PartialIgs, dict[in
 def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
     """Compute an igs of the subgroup generated by the given elements."""
     gens = list(gens)
-    _check_binding(pres, gens)
+    check_binding(pres, *gens)
     pigs = PartialIgs.empty(pres)
     queue = deque(g for g in gens if not g.is_identity)
     while queue:
@@ -304,7 +246,7 @@ def _sift_through(gens: list[Element], g: Element) -> SiftResult:
 
 def sift(seq: Igs, g: Element) -> SiftResult:
     """Depth-wise division of g by the igs; exact membership for a verified igs."""
-    _check_binding(seq.presentation, [g])
+    check_binding(seq.presentation, g)
     return _sift_through(list(seq.gens), g)
 
 
@@ -320,7 +262,7 @@ def verify_igs(candidate: Iterable[Element]) -> bool:
     if not elems:
         return True
     pres = elems[0].presentation
-    _check_binding(pres, elems)
+    check_binding(pres, *elems)
     n = pres.num_gens
     depths = [u.depth() for u in elems]
     if depths[-1] > n:
@@ -381,7 +323,7 @@ def subgroups_equal(u_gens: Iterable[Element], v_gens: Iterable[Element]) -> boo
     if not everyone:
         return True
     pres = everyone[0].presentation
-    _check_binding(pres, everyone)
+    check_binding(pres, *everyone)
     first = canonical_igs(igs_by_generators(pres, u_gens))
     second = canonical_igs(igs_by_generators(pres, v_gens))
     return [u.exponents for u in first.gens] == [v.exponents for v in second.gens]

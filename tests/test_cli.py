@@ -133,6 +133,20 @@ def test_parse_args_shapes():
         cli.parse_args(["igs", D8, "g1", "--", "g2"])
 
 
+def test_deep_recursion_is_an_error(tmp_path, capsys):
+    # Z/2^800 as a carry chain: collecting g1*g2*...*g800 recurses past
+    # Python's default stack limit
+    n = 800
+    path = tmp_path / "chain.pcp"
+    path.write_text(f"pcp {n}\norders {' 2' * n}\n"
+                    + "".join(f"power {i} {i + 1}^1\n" for i in range(1, n)))
+    word = "*".join(f"g{i}" for i in range(1, n + 1))
+    assert cli.main(["order", str(path), word]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_main_exit_codes(capsys):
     assert cli.main(["order", D8, "g2"]) == 0
     assert capsys.readouterr().out.strip() == "4"

@@ -233,6 +233,18 @@ def test_generator_order_does_not_matter(corpus):
             assert shuffled == seq
 
 
+def test_unit_leading_exponents_give_whole_group():
+    # every slot ends with leading exponent 1 while the entries above the
+    # diagonal stay nonzero; canonical reduction must clear them
+    z3 = helpers.free_abelian(3)
+    gens = [pg.Element(z3, v) for v in ((1, 5, 7), (0, 1, 9), (0, 0, 1))]
+    seq = pg.igs_by_generators(z3, gens)
+    assert pg.verify_igs(list(seq))
+    assert pg.subgroup_index(z3, seq) == 1
+    assert [u.exponents for u in pg.canonical_igs(seq)] == [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
 def test_free_abelian_matches_hnf(z2):
     rng = random.Random(73)
     for _ in range(60):
@@ -299,9 +311,9 @@ def test_index_in_twisted_infinite_groups():
 
 def test_igs_binding_mismatch(d8):
     z4 = helpers.cyclic(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(pg.PresentationMismatch):
         pg.igs_by_generators(d8, [pg.generator(z4, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(pg.PresentationMismatch):
         pg.add_gen_to_pigs(pg.PartialIgs.empty(d8), pg.generator(z4, 1))
 
 
