@@ -11,8 +11,12 @@ fed back into a work list.  When the gcd of the two leading exponents
 equals one of them, the slot update and one of the quotients are skipped.
 
 :func:`igs_by_generators` drives this to closure, additionally feeding
-back relative-order powers and commutators of every changed slot, after
-which the occupied slots form an igs: depths strictly increase, each
+back relative-order powers and the commutators of every changed slot
+with the other slots.  A pair is skipped when every generator in the
+support of one entry commutes, by the presentation, with every generator
+in the support of the other: its commutator is then exactly the
+identity, which would not be fed back anyway.  After closure the
+occupied slots form an igs: depths strictly increase, each
 power u^r(u) with finite relative order sifts to the identity through
 the later entries, and so does each conjugate u_i^{u_j} (j < i).  These
 closure conditions are decidable by :func:`verify_igs` and make
@@ -211,8 +215,14 @@ def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
                 p = u ** rel.value
                 if not p.is_identity:
                     queue.append(p)
+            # clash holds the generators that fail, by the presentation, to
+            # commute with some generator in u's support; [u, h] is exactly
+            # the identity when h's support misses clash
+            support = [i for i, e in enumerate(u.exponents, start=1) if e]
+            clash = [j for j in range(1, pres.num_gens + 1)
+                     if not all(pres.commutes(i, j) for i in support)]
             for idx, h in enumerate(pigs.slots, start=1):
-                if idx != d and h is not None:
+                if idx != d and h is not None and any(h.exponents[j - 1] for j in clash):
                     c = u.commutator(h)
                     if not c.is_identity:
                         queue.append(c)

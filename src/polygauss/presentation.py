@@ -203,7 +203,9 @@ class PcPresentation:
     # -- lookups used by collection ------------------------------------
 
     def commutes(self, i: int, j: int) -> bool:
-        """True when g_i and g_j (j < i) have only trivial stored tails."""
+        """True when g_i and g_j have only trivial stored tails, in either order."""
+        if i < j:
+            i, j = j, i
         if (i, j) in self.conjugates:
             return False
         inv = self.inv_conjugates.get((i, j))

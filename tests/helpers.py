@@ -46,6 +46,12 @@ def dihedral_infinite() -> pg.PcPresentation:
     return load_data("dinf.pcp")
 
 
+def carry_chain(n: int) -> pg.PcPresentation:
+    """Z/2^n as n generators of relative order 2 with g_i^2 = g_(i+1)."""
+    return pg.PcPresentation(n, [2] * n,
+                             powers={i: [(i + 1, 1)] for i in range(1, n)})
+
+
 _FINITE_CORPUS: dict[str, pg.PcPresentation] | None = None
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -330,3 +331,86 @@ def test_igs_depth_order_validation(z2):
         pg.Igs(z2, [pg.Element(z2, (0, 1)), pg.Element(z2, (1, 0))])
     with pytest.raises(ValueError):
         pg.Igs(z2, [pg.Element(z2, (-1, 0))])  # not normalised
+
+
+def _closure_without_skip(pres, gens):
+    """Reference closure: the commutator of each changed slot with every other slot."""
+    pigs = pg.PartialIgs.empty(pres)
+    queue = deque(g for g in gens if not g.is_identity)
+    while queue:
+        pigs, changes = pg.add_gen_to_pigs(pigs, queue.popleft())
+        for d in sorted(changes):
+            u = changes[d]
+            rel = u.relative_order()
+            if rel.is_finite:
+                p = u ** rel.value
+                if not p.is_identity:
+                    queue.append(p)
+            for idx, h in enumerate(pigs.slots, start=1):
+                if idx != d and h is not None:
+                    c = u.commutator(h)
+                    if not c.is_identity:
+                        queue.append(c)
+    return pigs.to_igs()
+
+
+def test_closure_matches_reference_without_skip():
+    # skipping a pair whose commutator is not the identity would drop a
+    # queue entry and change the raw igs, not just its canonical form
+    groups = [helpers.load_data(path.name) for path in sorted(helpers.DATA.glob("*.pcp"))]
+    groups += [helpers.free_abelian(4), helpers.carry_chain(10)]
+    rng = random.Random(131)
+    for pres in groups:
+        for _ in range(25):
+            gens = [helpers.random_element(pres, rng, spread=4)
+                    for _ in range(rng.randint(1, 4))]
+            expected = _closure_without_skip(pres, gens)
+            got = pg.igs_by_generators(pres, gens)
+            assert [u.exponents for u in got] == [u.exponents for u in expected]
+
+
+def test_closure_commutator_calls(monkeypatch):
+    calls = 0
+    original = pg.Element.commutator
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(pg.Element, "commutator", counted)
+
+    def closure_calls(pres, gens, verify=True):
+        nonlocal calls
+        calls = 0
+        seq = pg.igs_by_generators(pres, gens)
+        made = calls
+        assert not verify or pg.verify_igs(list(seq))
+        return made, seq
+
+    z4 = helpers.free_abelian(4)
+    rows = [(3, -2, 4, 1), (-1, 4, 0, 2), (2, 2, -3, 4), (4, -1, 1, -4)]
+    made, seq = closure_calls(z4, [pg.Element(z4, r) for r in rows])
+    assert made == 0 and pg.subgroup_index(z4, seq) != 1
+
+    chain = helpers.carry_chain(10)
+    made, seq = closure_calls(chain, [pg.Element(chain, (0, 1, 1, 0, 1, 0, 0, 1, 1, 1)),
+                                      pg.Element(chain, (0, 0, 1, 1, 0, 1, 1, 0, 0, 1))])
+    assert made == 0 and pg.subgroup_order(seq) == 2 ** 9
+
+    chain = helpers.carry_chain(64)
+    g = pg.generators(chain)
+    # verify_igs would take seconds here (2016 conjugates); entries of every
+    # depth with leading exponent 1 already generate the whole group
+    made, seq = closure_calls(chain, [g[0] * g[63], g[5], g[40]], verify=False)
+    assert made == 0 and pg.subgroup_order(seq) == 2 ** 64
+    assert [(u.depth(), u.leading_exponent()) for u in seq] == [(d, 1) for d in range(1, 65)]
+
+    heis = helpers.heisenberg()
+    x, y, z = pg.generators(heis)
+    made, seq = closure_calls(heis, [x ** 2, y ** 3])
+    assert made > 0 and pg.subgroup_index(heis, seq) == 36
+
+    d8 = helpers.dihedral8()
+    made, seq = closure_calls(d8, pg.generators(d8)[:2])
+    assert made > 0 and pg.subgroup_order(seq) == 8

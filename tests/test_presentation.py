@@ -111,6 +111,18 @@ def test_trivial_conjugate_tail_means_commuting():
     assert pres.commutes(2, 1)
 
 
+def test_commutes_is_symmetric():
+    for path in sorted(helpers.DATA.glob("*.pcp")):
+        pres = pg.load_presentation(path.read_text())
+        gens = range(1, pres.num_gens + 1)
+        for i in gens:
+            assert pres.commutes(i, i)
+            for j in gens:
+                assert pres.commutes(i, j) == pres.commutes(j, i), (path.name, i, j)
+    d8 = helpers.dihedral8()
+    assert not d8.commutes(1, 2) and d8.commutes(1, 3)
+
+
 def test_explicit_empty_power_tail_is_identity():
     pres = pg.load_presentation("pcp 1\norders 4\npower 1\n")
     assert pres == pg.load_presentation("pcp 1\norders 4\n")
