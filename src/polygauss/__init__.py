@@ -13,9 +13,9 @@ from .presentation import (
     PcpError,
     PcpSyntaxError,
     PcpValidationError,
-    Word,
     format_word,
     load_presentation,
+    parse_word,
     save_presentation,
     validate_inverse_tails,
 )
@@ -29,7 +29,6 @@ from .elements import (
 )
 from .igs import (
     Igs,
-    PartialIgs,
     SiftResult,
     add_gen_to_pigs,
     canonical_igs,
@@ -52,11 +51,11 @@ from .oracle import (
 __all__ = [
     "Cardinal", "INFINITE",
     "PcPresentation", "PcpError", "PcpSyntaxError", "PcpValidationError",
-    "Word", "format_word", "load_presentation", "save_presentation",
+    "format_word", "load_presentation", "parse_word", "save_presentation",
     "validate_inverse_tails",
     "Element", "PresentationMismatch",
     "collect", "generator", "generators", "identity",
-    "Igs", "PartialIgs", "SiftResult", "add_gen_to_pigs", "canonical_igs",
+    "Igs", "SiftResult", "add_gen_to_pigs", "canonical_igs",
     "igs_by_generators", "sift", "subgroup_index", "subgroup_order",
     "subgroups_equal", "verify_igs",
     "DEFAULT_BOUND", "EnumerationBoundExceeded", "FiniteGroupTable",

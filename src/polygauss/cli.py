@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .cardinal import INFINITE, Cardinal
-from .elements import Element, collect
+from .elements import collect
 from .igs import (Igs, canonical_igs, igs_by_generators, sift,
                   subgroup_index, subgroup_order, subgroups_equal, verify_igs)
 from .oracle import (DEFAULT_BOUND, EnumerationBoundExceeded, FiniteGroupTable,
@@ -95,16 +95,12 @@ def parse_args(argv: list[str]) -> Request:
     return Request(command, path, words, words_after, machine, bound)
 
 
-def _relorder_text(u: Element) -> str:
-    return str(u.relative_order())
-
-
 def _igs_lines(seq: Igs, machine: bool) -> str:
     lines = []
     if not machine:
         lines.append(f"igs with {len(seq)} generator{'s' if len(seq) != 1 else ''}")
     for u in seq:
-        d, lead, rel = u.depth(), u.leading_exponent(), _relorder_text(u)
+        d, lead, rel = u.depth(), u.leading_exponent(), str(u.relative_order())
         if machine:
             lines.append(f"{d} {lead} {rel} {u}")
         else:

@@ -25,10 +25,11 @@ are exact Python integers; nothing here is approximate.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 from .cardinal import Cardinal, INFINITE
-from .presentation import PcPresentation, Word, format_word
+from .presentation import PcPresentation, Syllable, format_word, parse_word
 
 
 class PresentationMismatch(ValueError):
@@ -162,7 +163,7 @@ class Element:
     __slots__ = ("presentation", "exponents")
 
     def __init__(self, presentation: PcPresentation, exponents: Iterable[int]):
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(operator.index(e) for e in exponents)
         if len(exps) != presentation.num_gens:
             raise ValueError(
                 f"expected {presentation.num_gens} exponents, got {len(exps)}")
@@ -219,7 +220,7 @@ class Element:
 
     def __pow__(self, k: int) -> Element:
         return Element._wrap(self.presentation,
-                             _pow(self.presentation, self.exponents, k))
+                             _pow(self.presentation, self.exponents, operator.index(k)))
 
     def conjugate(self, other: Element) -> Element:
         """self conjugated by other: other^-1 * self * other."""
@@ -296,13 +297,13 @@ def generators(pres: PcPresentation) -> list[Element]:
     return [generator(pres, i) for i in range(1, pres.num_gens + 1)]
 
 
-def collect(pres: PcPresentation, word) -> Element:
-    """Normal form of an arbitrary word (Word, syntax string, or pairs)."""
-    if isinstance(word, str):
-        word = Word.parse(word)
-    entries = list(word)
-    for i, _ in entries:
-        if not 1 <= i <= pres.num_gens:
+def collect(pres: PcPresentation, word: str | Iterable[Syllable]) -> Element:
+    """Normal form of an arbitrary word: a syntax string or (index, exponent) pairs."""
+    # checked in place; copying the pairs on every call makes peak RSS creep up
+    entries = parse_word(word) if isinstance(word, str) else list(word)
+    for i, e in entries:
+        operator.index(e)  # a non-integer exponent is a TypeError
+        if not 1 <= operator.index(i) <= pres.num_gens:
             raise ValueError(f"word uses generator index {i}, valid range is "
                              f"1..{pres.num_gens}")
     vec = (0,) * pres.num_gens

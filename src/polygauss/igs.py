@@ -1,11 +1,12 @@
 """Induced generating sequences for subgroups of polycyclic groups.
 
-The central object is a partial igs: a length-n array whose slot d is
-either empty or holds a normalised element of depth exactly d.  Feeding
-subgroup generators through :func:`add_gen_to_pigs` performs a
-non-commutative analogue of Gaussian elimination.  An incoming element h
-of depth d either fills an empty slot (after normalisation), or is
-merged with the occupant k via an extended-gcd combination of their
+The central object is a partial igs: normalised elements in strictly
+increasing depth, at most one per depth, held in the same :class:`Igs`
+type as a finished igs.  Feeding subgroup generators through
+:func:`add_gen_to_pigs` performs a non-commutative analogue of Gaussian
+elimination over the slots d = 1..n.  An incoming element h of depth d
+either fills an empty slot (after normalisation), or is merged with the
+occupant k via an extended-gcd combination of their
 leading exponents; in both cases the quotients that raise the depth are
 fed back into a work list.  When the gcd of the two leading exponents
 equals one of them, the slot update and one of the quotients are skipped.
@@ -19,8 +20,9 @@ identity, which would not be fed back anyway.  After closure the
 occupied slots form an igs: depths strictly increase, each
 power u^r(u) with finite relative order sifts to the identity through
 the later entries, and so does each conjugate u_i^{u_j} (j < i).  These
-closure conditions are decidable by :func:`verify_igs` and make
-membership testing by depth-wise division (:func:`sift`) exact.
+closure conditions are decidable by :func:`verify_igs`, which skips the
+conjugates of pairs that commute by the same test, and make membership
+testing by depth-wise division (:func:`sift`) exact.
 
 Subgroup order and index read off directly from an igs, and a canonical
 form obtained by reducing the entries above each later leading exponent
@@ -31,7 +33,7 @@ integer matrix) is unique per subgroup, which decides subgroup equality.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .cardinal import Cardinal, INFINITE
 from .elements import Element, check_binding
@@ -53,72 +55,29 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def _entry_depth(pres: PcPresentation, u: Element) -> int:
-    """Depth of an igs entry, checked to be bound, non-identity and normalised."""
-    check_binding(pres, u)
-    d = u.depth()
-    if d > pres.num_gens:
-        raise ValueError("identity cannot occur in an igs")
-    # normalisation makes the leading exponent positive (infinite relative
-    # order) respectively a divisor of the relative order at the depth
-    r = pres.orders[d - 1]
-    lead = u.exponents[d - 1]
-    if not (lead > 0 if r == 0 else r % lead == 0):
-        raise ValueError(f"igs entry {u} is not normalised")
-    return d
-
-
-class PartialIgs:
-    """Length-n sequence of optional normalised elements, slot d has depth d."""
-
-    __slots__ = ("presentation", "slots")
-
-    def __init__(self, presentation: PcPresentation,
-                 slots: Iterable[Optional[Element]]):
-        slots = tuple(slots)
-        if len(slots) != presentation.num_gens:
-            raise ValueError(f"expected {presentation.num_gens} slots")
-        for d, u in enumerate(slots, start=1):
-            if u is not None and _entry_depth(presentation, u) != d:
-                raise ValueError(f"slot {d} holds an element of depth {u.depth()}")
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "slots", slots)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialIgs is immutable")
-
-    @classmethod
-    def empty(cls, presentation: PcPresentation) -> PartialIgs:
-        return cls(presentation, (None,) * presentation.num_gens)
-
-    def occupied(self) -> list[Element]:
-        return [u for u in self.slots if u is not None]
-
-    def to_igs(self) -> Igs:
-        return Igs(self.presentation, self.occupied())
-
-    def __eq__(self, other):
-        return (isinstance(other, PartialIgs) and self.slots == other.slots
-                and self.presentation == other.presentation)
-
-    def __hash__(self):
-        return hash(self.slots)
-
-    def __repr__(self):
-        body = ", ".join("-" if u is None else str(u) for u in self.slots)
-        return f"<PartialIgs [{body}]>"
-
-
 class Igs:
-    """A completed induced generating sequence, in strictly increasing depth."""
+    """Normalised elements in strictly increasing depth, at most one per depth.
+
+    Elimination passes partial igs of this type from step to step; after
+    closure (:func:`igs_by_generators`) the entries form an igs.
+    """
 
     __slots__ = ("presentation", "gens")
 
     def __init__(self, presentation: PcPresentation, gens: Iterable[Element]):
         gens = tuple(gens)
+        check_binding(presentation, *gens)
         prev = 0
         for u in gens:
-            d = _entry_depth(presentation, u)
+            d = u.depth()
+            if d > presentation.num_gens:
+                raise ValueError("identity cannot occur in an igs")
+            # normalisation makes the leading exponent positive (infinite
+            # relative order) respectively a divisor of the relative order
+            r = presentation.orders[d - 1]
+            lead = u.exponents[d - 1]
+            if not (lead > 0 if r == 0 else r % lead == 0):
+                raise ValueError(f"igs entry {u} is not normalised")
             if d <= prev:
                 raise ValueError("igs depths must strictly increase")
             prev = d
@@ -145,16 +104,20 @@ class Igs:
         return f"<Igs {', '.join(str(u) for u in self.gens) or 'empty'}>"
 
 
-def add_gen_to_pigs(pigs: PartialIgs, gen: Element) -> tuple[PartialIgs, dict[int, Element]]:
+def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
     """Absorb one element: returns a partial igs generating <pigs, gen>.
 
-    The second component maps each slot index whose stored element
-    changed to its new value.
+    The second component maps each depth whose entry changed to its new
+    entry; it is empty exactly when the result equals `pigs`.
     """
     pres = pigs.presentation
     check_binding(pres, gen)
     n = pres.num_gens
-    slots = list(pigs.slots)
+    # slots[d - 1] holds the entry of depth d, or None
+    before = [None] * n
+    for u in pigs.gens:
+        before[u.depth() - 1] = u
+    slots = list(before)
     # pending[e] is the FIFO work list at depth e; the identity lands in
     # pending[n + 1], which is never swept
     pending = [[] for _ in range(n + 2)]
@@ -193,21 +156,31 @@ def add_gen_to_pigs(pigs: PartialIgs, gen: Element) -> tuple[PartialIgs, dict[in
                 push_residue(h * wn ** (-(a // g)), d)
             push_residue(k * wn ** (-(b // g)), d)
 
-    result = PartialIgs(pres, slots)
     changes = {d: slots[d - 1] for d in range(1, n + 1)
-               if slots[d - 1] != pigs.slots[d - 1]}
-    return result, changes
+               if slots[d - 1] != before[d - 1]}
+    return Igs(pres, [u for u in slots if u is not None]), changes
+
+
+def _clash(pres: PcPresentation, u: Element) -> list[int]:
+    """The generators that fail, by the presentation, to commute with u's support.
+
+    An element h whose support misses them commutes with u exactly:
+    [u, h] is the identity and u^h = u.
+    """
+    support = [i for i, e in enumerate(u.exponents, start=1) if e]
+    return [j for j in range(1, pres.num_gens + 1)
+            if not all(pres.commutes(i, j) for i in support)]
 
 
 def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
     """Compute an igs of the subgroup generated by the given elements."""
     gens = list(gens)
     check_binding(pres, *gens)
-    pigs = PartialIgs.empty(pres)
+    seq = Igs(pres, ())
     queue = deque(g for g in gens if not g.is_identity)
     while queue:
         g = queue.popleft()
-        pigs, changes = add_gen_to_pigs(pigs, g)
+        seq, changes = add_gen_to_pigs(seq, g)
         for d in sorted(changes):
             u = changes[d]
             rel = u.relative_order()
@@ -215,18 +188,13 @@ def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
                 p = u ** rel.value
                 if not p.is_identity:
                     queue.append(p)
-            # clash holds the generators that fail, by the presentation, to
-            # commute with some generator in u's support; [u, h] is exactly
-            # the identity when h's support misses clash
-            support = [i for i, e in enumerate(u.exponents, start=1) if e]
-            clash = [j for j in range(1, pres.num_gens + 1)
-                     if not all(pres.commutes(i, j) for i in support)]
-            for idx, h in enumerate(pigs.slots, start=1):
-                if idx != d and h is not None and any(h.exponents[j - 1] for j in clash):
+            clash = _clash(pres, u)
+            for h in seq.gens:
+                if h is not u and any(h.exponents[j - 1] for j in clash):
                     c = u.commutator(h)
                     if not c.is_identity:
                         queue.append(c)
-    return pigs.to_igs()
+    return seq
 
 
 class SiftResult(NamedTuple):
@@ -284,8 +252,12 @@ def verify_igs(candidate: Iterable[Element]) -> bool:
         if rel.is_finite:
             if not _sift_through(elems[i + 1:], u ** rel.value).membership:
                 return False
+    clashes = [_clash(pres, u) for u in elems]
     for j in range(len(elems)):
         for i in range(j + 1, len(elems)):
+            # a commuting pair gives u_i^{u_j} = u_i, which sifts at once
+            if not any(elems[j].exponents[k - 1] for k in clashes[i]):
+                continue
             conj = elems[i].conjugate(elems[j])
             if not _sift_through(elems[j + 1:], conj).membership:
                 return False

@@ -12,9 +12,11 @@ the left-hand key.  A missing conj/invconj entry means the two generators
 commute; a missing power entry means the power is the identity.
 
 The presentation is assumed consistent (every group element has a unique
-normal form).  Only structural validation is performed here; semantic
-spot checks of the inverse-conjugate tails live in
-:func:`validate_inverse_tails`.
+normal form).  Only structural validation is performed here.  Collection
+rewrites past g_j^-1 only when r_j = 0, so no normal form depends on an
+invconj entry with r_j > 0; such entries are kept and saved, but not
+checked on load.  :func:`validate_inverse_tails` certifies every stored
+invconj entry by collection.
 
 File format (UTF-8, line oriented, `#` starts a comment):
 
@@ -25,11 +27,13 @@ File format (UTF-8, line oriented, `#` starts a comment):
 
 Words typed on the command line use a different, denser syntax:
 ``g1^2*g3^-1`` (exponent omitted means 1, the bare token ``1`` is the
-empty word).
+empty word).  :func:`parse_word` turns it into (index, exponent) pairs
+with the same syllable parser as the file's tails.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import IO, Iterable
 
 
@@ -48,58 +52,28 @@ class PcpValidationError(PcpError):
 Syllable = tuple[int, int]  # (generator index, exponent)
 
 
-class Word:
-    """An unreduced product of generator powers, the raw input form.
+def _int_syllables(entries: Iterable[Syllable]) -> tuple[Syllable, ...]:
+    """The pairs as a tuple; an entry that is not an integer is a TypeError."""
+    return tuple((operator.index(i), operator.index(e)) for i, e in entries)
 
-    Entries are (index, exponent) pairs in any order; exponents may be
-    negative or zero.  Words carry no presentation binding; indices are
-    checked against a presentation when the word is collected.
+
+def parse_word(text: str) -> tuple[Syllable, ...]:
+    """Parse the ``g1^2*g3^-1`` command-line syntax into (index, exponent) pairs.
+
+    The pairs are unreduced: any order, exponents may be negative or
+    zero, and indices are checked against a presentation only when the
+    word is collected.
     """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[Syllable]):
-        self.entries = tuple((int(i), int(e)) for i, e in entries)
-
-    @classmethod
-    def parse(cls, text: str) -> Word:
-        """Parse the ``g1^2*g3^-1`` command-line syntax."""
-        text = text.strip()
-        if text in ("", "1"):
-            return cls(())
-        entries = []
-        for token in text.split("*"):
-            token = token.strip()
-            if not token.startswith("g"):
-                raise PcpSyntaxError(f"bad word token {token!r} (expected g<i> or g<i>^<e>)")
-            body = token[1:]
-            if "^" in body:
-                idx_text, _, exp_text = body.partition("^")
-            else:
-                idx_text, exp_text = body, "1"
-            try:
-                entries.append((int(idx_text), int(exp_text)))
-            except ValueError:
-                raise PcpSyntaxError(f"bad word token {token!r}") from None
-        return cls(entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __str__(self):
-        return format_word(self.entries)
-
-    def __repr__(self):
-        return f"Word({list(self.entries)!r})"
+    text = text.strip()
+    if text in ("", "1"):
+        return ()
+    bodies = []
+    for token in text.split("*"):
+        token = token.strip()
+        if not token.startswith("g"):
+            raise PcpSyntaxError(f"bad word token {token!r} (expected g<i> or g<i>^<e>)")
+        bodies.append(token[1:])
+    return _tail_tokens(bodies, f"word {text!r}")
 
 
 def format_word(entries: Iterable[Syllable]) -> str:
@@ -126,16 +100,15 @@ class PcPresentation:
 
     def __init__(self, num_gens, orders, conjugates=None, inv_conjugates=None,
                  powers=None):
-        self.num_gens = int(num_gens)
-        self.orders = tuple(int(r) for r in orders)
+        self.num_gens = operator.index(num_gens)
+        self.orders = tuple(operator.index(r) for r in orders)
         conjugates = dict(conjugates or {})
         for key in [k for k, t in conjugates.items() if tuple(t) == ((k[0], 1),)]:
             del conjugates[key]  # explicit trivial tail == commuting pair
-        self.conjugates = {k: tuple((int(i), int(e)) for i, e in t)
-                           for k, t in conjugates.items()}
-        self.inv_conjugates = {k: tuple((int(i), int(e)) for i, e in t)
+        self.conjugates = {k: _int_syllables(t) for k, t in conjugates.items()}
+        self.inv_conjugates = {k: _int_syllables(t)
                                for k, t in (inv_conjugates or {}).items()}
-        self.powers = {int(k): tuple((int(i), int(e)) for i, e in t)
+        self.powers = {operator.index(k): _int_syllables(t)
                        for k, t in (powers or {}).items()}
         self._validate()
         # an empty power tail is the identity, the same as no entry at all
@@ -244,7 +217,8 @@ class PcPresentation:
         return f"PcPresentation(n={self.num_gens}, orders={list(self.orders)})"
 
 
-def _tail_tokens(tokens, line_no):
+def _tail_tokens(tokens, where: str) -> tuple[Syllable, ...]:
+    """Parse ``i^e`` tokens (exponent omitted means 1); `where` prefixes errors."""
     tail = []
     for token in tokens:
         if "^" in token:
@@ -254,7 +228,7 @@ def _tail_tokens(tokens, line_no):
         try:
             tail.append((int(idx_text), int(exp_text)))
         except ValueError:
-            raise PcpSyntaxError(f"line {line_no}: bad tail token {token!r}") from None
+            raise PcpSyntaxError(f"{where}: bad syllable {token!r}") from None
     return tuple(tail)
 
 
@@ -309,7 +283,7 @@ def load_presentation(source: str | bytes | IO) -> PcPresentation:
             table = conjugates if keyword == "conj" else inv_conjugates
             if (i, j) in table:
                 raise PcpSyntaxError(f"line {line_no}: duplicate {keyword} {i} {j}")
-            table[(i, j)] = _tail_tokens(args[2:], line_no)
+            table[(i, j)] = _tail_tokens(args[2:], f"line {line_no}")
         elif keyword == "power":
             if orders is None:
                 raise PcpSyntaxError(f"line {line_no}: power before orders line")
@@ -321,7 +295,7 @@ def load_presentation(source: str | bytes | IO) -> PcPresentation:
                 raise PcpSyntaxError(f"line {line_no}: bad generator index") from None
             if i in powers:
                 raise PcpSyntaxError(f"line {line_no}: duplicate power {i}")
-            powers[i] = _tail_tokens(args[1:], line_no)
+            powers[i] = _tail_tokens(args[1:], f"line {line_no}")
         else:
             raise PcpSyntaxError(f"line {line_no}: unknown keyword {keyword!r}")
 
@@ -358,7 +332,7 @@ def validate_inverse_tails(pres: PcPresentation) -> list[tuple[int, int]]:
 
     bad = []
     for (i, j), tail in sorted(pres.inv_conjugates.items()):
-        word = Word(((j, -1),) + tail + ((j, 1),))
+        word = ((j, -1),) + tail + ((j, 1),)
         if collect(pres, word) != generator(pres, i):
             bad.append((i, j))
     return bad

@@ -77,7 +77,7 @@ def random_element(pres: pg.PcPresentation, rng: random.Random,
 
 
 def random_word(pres: pg.PcPresentation, rng: random.Random,
-                length: int = 5, spread: int = 6) -> pg.Word:
+                length: int = 5, spread: int = 6) -> tuple[tuple[int, int], ...]:
     entries = [(rng.randint(1, pres.num_gens), rng.randint(-spread, spread))
                for _ in range(rng.randint(0, length))]
-    return pg.Word(entries)
+    return tuple(entries)

@@ -279,10 +279,10 @@ def test_criterion_7_collection_soundness():
             for _ in range(1000):
                 u = helpers.random_word(pres, rng, length=5, spread=4)
                 v = helpers.random_word(pres, rng, length=5, spread=4)
-                joined = pg.Word(tuple(u) + tuple(v))
+                joined = tuple(tuple(u) + tuple(v))
                 a, b = pg.collect(pres, u), pg.collect(pres, v)
                 assert pg.collect(pres, joined) == a * b
-                renormalised = pg.Word(
+                renormalised = tuple(
                     [(i + 1, e) for i, e in enumerate(a.exponents)])
                 assert pg.collect(pres, renormalised) == a
             for _ in range(200):

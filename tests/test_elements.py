@@ -72,7 +72,7 @@ def test_public_names_resolve():
 
 
 def test_collect_empty_word_is_identity(d8):
-    assert pg.collect(d8, pg.Word([])).is_identity
+    assert pg.collect(d8, tuple([])).is_identity
     assert pg.collect(d8, "1") == pg.identity(d8)
 
 
@@ -214,11 +214,11 @@ def test_collect_is_homomorphism(corpus, heis, dinf, z2):
         for _ in range(30):
             u = helpers.random_word(pres, rng)
             v = helpers.random_word(pres, rng)
-            combined = pg.Word(tuple(u) + tuple(v))
+            combined = tuple(tuple(u) + tuple(v))
             assert pg.collect(pres, combined) == \
                 pg.collect(pres, u) * pg.collect(pres, v)
             a = pg.collect(pres, u)
-            again = pg.Word([(i + 1, e) for i, e in enumerate(a.exponents)])
+            again = tuple([(i + 1, e) for i, e in enumerate(a.exponents)])
             assert pg.collect(pres, again) == a
 
 
@@ -254,6 +254,30 @@ def test_element_vector_validation(d8):
         pg.Element(d8, (2, 0, 0))
     with pytest.raises(ValueError):
         pg.Element(d8, (0, 0))
+
+
+def test_element_rejects_float_exponent(z2):
+    with pytest.raises(TypeError):
+        pg.Element(z2, (1.7, 0))
+
+
+def test_element_rejects_string_exponent(z2):
+    with pytest.raises(TypeError):
+        pg.Element(z2, ('3', 0))
+
+
+def test_collect_rejects_float_exponent(z2):
+    with pytest.raises(TypeError):
+        pg.collect(z2, [(1, 2.9)])
+    with pytest.raises(TypeError):
+        pg.collect(z2, [(1.0, 2)])
+
+
+def test_power_rejects_float(z2):
+    x = pg.generator(z2, 1)
+    # the exponent is checked up front, not deep inside collection
+    with pytest.raises(TypeError, match="as an integer"):
+        x ** 2.5
 
 
 def test_infinite_exponents_grow_exactly(heis):

@@ -123,6 +123,15 @@ def test_commutes_is_symmetric():
     assert not d8.commutes(1, 2) and d8.commutes(1, 3)
 
 
+def test_presentation_rejects_float_entries():
+    with pytest.raises(TypeError):
+        pg.PcPresentation(2.5, [0, 0])
+    with pytest.raises(TypeError):
+        pg.PcPresentation(2, [2.0, 0])
+    with pytest.raises(TypeError):
+        pg.PcPresentation(2, [2, 2], powers={1: [(2, 1.0)]})
+
+
 def test_explicit_empty_power_tail_is_identity():
     pres = pg.load_presentation("pcp 1\norders 4\npower 1\n")
     assert pres == pg.load_presentation("pcp 1\norders 4\n")
@@ -245,15 +254,15 @@ def test_validate_inverse_tails_flags_bad_entry():
 
 
 def test_word_parsing():
-    word = pg.Word.parse("g1^2*g3^-1")
-    assert word.entries == ((1, 2), (3, -1))
-    assert pg.Word.parse("g2") == pg.Word([(2, 1)])
-    assert pg.Word.parse("1") == pg.Word([])
-    assert str(pg.Word.parse("g1^2*g3^-1")) == "g1^2*g3^-1"
-    assert str(pg.Word([])) == "1"
+    word = pg.parse_word("g1^2*g3^-1")
+    assert word == ((1, 2), (3, -1))
+    assert pg.parse_word("g2") == tuple([(2, 1)])
+    assert pg.parse_word("1") == tuple([])
+    assert pg.format_word(pg.parse_word("g1^2*g3^-1")) == "g1^2*g3^-1"
+    assert pg.format_word(tuple([])) == "1"
     for bad in ("h1", "g", "g1^", "g1**g2", "g1^2 g3"):
         with pytest.raises(pg.PcpSyntaxError):
-            pg.Word.parse(bad)
+            pg.parse_word(bad)
 
 
 def test_format_word_drops_zero_exponents():
