@@ -7,7 +7,6 @@ and infinite polycyclic groups alike.  All arithmetic is exact
 big-integer arithmetic.
 """
 
-from .cardinal import Cardinal, INFINITE
 from .presentation import (
     PcPresentation,
     PcpError,
@@ -20,6 +19,7 @@ from .presentation import (
     validate_inverse_tails,
 )
 from .elements import (
+    INFINITE,
     Element,
     PresentationMismatch,
     collect,
@@ -49,7 +49,7 @@ from .oracle import (
 )
 
 __all__ = [
-    "Cardinal", "INFINITE",
+    "INFINITE",
     "PcPresentation", "PcpError", "PcpSyntaxError", "PcpValidationError",
     "format_word", "load_presentation", "parse_word", "save_presentation",
     "validate_inverse_tails",

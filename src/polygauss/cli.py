@@ -23,8 +23,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .cardinal import INFINITE, Cardinal
-from .elements import collect
+from .elements import INFINITE, collect
 from .igs import (Igs, canonical_igs, igs_by_generators, sift,
                   subgroup_index, subgroup_order, subgroups_equal, verify_igs)
 from .oracle import (DEFAULT_BOUND, EnumerationBoundExceeded, FiniteGroupTable,
@@ -136,7 +135,7 @@ def _verify_against_oracle(pres, gens, bound) -> list[str]:
         rows = [list(u.exponents) for u in canonical_igs(seq).gens]
         if rows != hnf:
             problems.append("canonical igs differs from the Hermite normal form")
-        expected = Cardinal(1)
+        expected = 1
         for p in pivots:
             expected = expected * p
         if len(pivots) < pres.num_gens:

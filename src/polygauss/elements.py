@@ -19,7 +19,8 @@ Writing d for the depth of v there are three cases:
 
 Every recursive step operates strictly deeper in the generator sequence,
 which bounds the recursion by the number of generators.  All exponents
-are exact Python integers; nothing here is approximate.
+are exact Python integers; nothing here is approximate.  A relative order
+is an int or :data:`INFINITE`, the one value used for an infinite order.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 import operator
 from typing import Iterable
 
-from .cardinal import Cardinal, INFINITE
 from .presentation import PcPresentation, Syllable, format_word, parse_word
 
 
@@ -36,8 +36,31 @@ class PresentationMismatch(ValueError):
     """Raised when operands are bound to different presentations."""
 
 
-def check_binding(pres: PcPresentation, *elems: Element):
-    """Raise :class:`PresentationMismatch` unless every element is bound to pres."""
+class _Infinite:
+    """The type of :data:`INFINITE`: absorbs ints in a product, prints ``infinity``."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return self if isinstance(other, (int, _Infinite)) else NotImplemented
+
+    __rmul__ = __mul__
+
+    def __str__(self):
+        return "infinity"
+
+    def __repr__(self):
+        return "INFINITE"
+
+    def __reduce__(self):
+        return "INFINITE"  # copy and pickle give back the module's singleton
+
+
+INFINITE = _Infinite()
+
+
+def check_binding(pres: PcPresentation, *elems):
+    """Raise PresentationMismatch unless each element or igs is bound to pres."""
     for g in elems:
         if g.presentation is not pres and g.presentation != pres:
             raise PresentationMismatch(
@@ -197,15 +220,15 @@ class Element:
         d = self.depth()
         return None if d > len(self.exponents) else self.exponents[d - 1]
 
-    def relative_order(self) -> Cardinal | None:
-        """Order of the element in the cyclic quotient at its depth."""
+    def relative_order(self) -> int | _Infinite | None:
+        """Order of the element in the cyclic quotient at its depth, or INFINITE."""
         d = self.depth()
         if d > len(self.exponents):
             return None
         r = self.presentation.orders[d - 1]
         if r == 0:
             return INFINITE
-        return Cardinal(r // math.gcd(self.exponents[d - 1], r))
+        return r // math.gcd(self.exponents[d - 1], r)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -24,10 +24,10 @@ closure conditions are decidable by :func:`verify_igs`, which skips the
 conjugates of pairs that commute by the same test, and make membership
 testing by depth-wise division (:func:`sift`) exact.
 
-Subgroup order and index read off directly from an igs, and a canonical
-form obtained by reducing the entries above each later leading exponent
-(division with remainder, exactly as in the Hermite normal form of an
-integer matrix) is unique per subgroup, which decides subgroup equality.
+Subgroup order and index read off directly from an igs as ints or INFINITE,
+and a canonical form obtained by reducing the entries above each later
+leading exponent (division with remainder, exactly as in the Hermite normal
+form of an integer matrix) is unique per subgroup, which decides equality.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple
 
-from .cardinal import Cardinal, INFINITE
-from .elements import Element, check_binding
+from .elements import INFINITE, Element, check_binding
 from .presentation import PcPresentation
 
 
@@ -184,8 +183,8 @@ def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
         for d in sorted(changes):
             u = changes[d]
             rel = u.relative_order()
-            if rel.is_finite:
-                p = u ** rel.value
+            if rel is not INFINITE:
+                p = u ** rel
                 if not p.is_identity:
                     queue.append(p)
             clash = _clash(pres, u)
@@ -249,8 +248,8 @@ def verify_igs(candidate: Iterable[Element]) -> bool:
         return False
     for i, u in enumerate(elems):
         rel = u.relative_order()
-        if rel.is_finite:
-            if not _sift_through(elems[i + 1:], u ** rel.value).membership:
+        if rel is not INFINITE:
+            if not _sift_through(elems[i + 1:], u ** rel).membership:
                 return False
     clashes = [_clash(pres, u) for u in elems]
     for j in range(len(elems)):
@@ -264,24 +263,25 @@ def verify_igs(candidate: Iterable[Element]) -> bool:
     return True
 
 
-def subgroup_order(seq: Igs) -> Cardinal:
-    """|U| as the product of the relative orders of the igs entries."""
-    total = Cardinal(1)
+def subgroup_order(seq: Igs):
+    """|U|, an int or INFINITE: the product of the entries' relative orders."""
+    total = 1
     for u in seq.gens:
         total = total * u.relative_order()
     return total
 
 
-def subgroup_index(pres: PcPresentation, seq: Igs) -> Cardinal:
-    """[G:U] as the product of leading exponents and missed relative orders."""
+def subgroup_index(pres: PcPresentation, seq: Igs):
+    """[G:U], an int or INFINITE: leading exponents times missed relative orders."""
+    check_binding(pres, seq)
     hit = {u.depth() for u in seq.gens}
-    total = Cardinal(1)
+    total = 1
     for u in seq.gens:
         total = total * u.leading_exponent()
     for d in range(1, pres.num_gens + 1):
         if d not in hit:
             r = pres.orders[d - 1]
-            total = total * (INFINITE if r == 0 else Cardinal(r))
+            total = total * (INFINITE if r == 0 else r)
     return total
 
 

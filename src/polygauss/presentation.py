@@ -57,6 +57,12 @@ def _int_syllables(entries: Iterable[Syllable]) -> tuple[Syllable, ...]:
     return tuple((operator.index(i), operator.index(e)) for i, e in entries)
 
 
+def _int_pair_table(table) -> dict[tuple[int, int], tuple[Syllable, ...]]:
+    """A conj/invconj table with int keys and tails; anything else is a TypeError."""
+    return {(operator.index(i), operator.index(j)): _int_syllables(t)
+            for (i, j), t in (table or {}).items()}
+
+
 def parse_word(text: str) -> tuple[Syllable, ...]:
     """Parse the ``g1^2*g3^-1`` command-line syntax into (index, exponent) pairs.
 
@@ -102,12 +108,10 @@ class PcPresentation:
                  powers=None):
         self.num_gens = operator.index(num_gens)
         self.orders = tuple(operator.index(r) for r in orders)
-        conjugates = dict(conjugates or {})
-        for key in [k for k, t in conjugates.items() if tuple(t) == ((k[0], 1),)]:
-            del conjugates[key]  # explicit trivial tail == commuting pair
-        self.conjugates = {k: _int_syllables(t) for k, t in conjugates.items()}
-        self.inv_conjugates = {k: _int_syllables(t)
-                               for k, t in (inv_conjugates or {}).items()}
+        # an explicit trivial conj tail means the same as a commuting pair
+        self.conjugates = {k: t for k, t in _int_pair_table(conjugates).items()
+                           if t != ((k[0], 1),)}
+        self.inv_conjugates = _int_pair_table(inv_conjugates)
         self.powers = {operator.index(k): _int_syllables(t)
                        for k, t in (powers or {}).items()}
         self._validate()
@@ -176,13 +180,14 @@ class PcPresentation:
     # -- lookups used by collection ------------------------------------
 
     def commutes(self, i: int, j: int) -> bool:
-        """True when g_i and g_j have only trivial stored tails, in either order."""
+        """Symmetric: True when collection reads no nontrivial tail for g_i, g_j."""
         if i < j:
             i, j = j, i
         if (i, j) in self.conjugates:
             return False
         inv = self.inv_conjugates.get((i, j))
-        return inv is None or inv == ((i, 1),)
+        # collection reads invconj (i, j) only past g_j^-1, which needs r_j = 0
+        return inv is None or inv == ((i, 1),) or self.orders[j - 1] > 0
 
     def conjugate_tail(self, i: int, j: int, sign: int = 1) -> tuple[Syllable, ...]:
         """Normal form of g_i conjugated by g_j**sign, as syllables."""

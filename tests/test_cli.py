@@ -4,7 +4,6 @@ import pytest
 
 import helpers
 import polygauss.cli as cli
-from polygauss import Cardinal
 
 D8 = str(helpers.DATA / "d8.pcp")
 Z2 = str(helpers.DATA / "z2.pcp")
@@ -75,10 +74,14 @@ def test_canonical_golden():
 def test_verify_pass_finite_and_free_abelian():
     assert run_cli("verify", D8, "g2", "g1") == (0, "PASS")
     assert run_cli("verify", Z2, "g1^2*g2", "g2^3") == (0, "PASS")
+    assert run_cli("verify", Z2, "g1") == (0, "PASS")  # index infinity
 
 
 def test_verify_unsupported_group_is_an_error():
     code, text = run_cli("verify", HEIS, "g1")
+    assert code == 1
+    assert "error" in text
+    code, text = run_cli("verify", str(helpers.DATA / "dinf.pcp"), "g1")  # mixed orders
     assert code == 1
     assert "error" in text
 
@@ -92,7 +95,7 @@ def test_verify_bound_flag():
 
 def test_verify_detects_mismatch(monkeypatch):
     # force a lying order computation to exercise the oracle-mismatch path
-    monkeypatch.setattr(cli, "subgroup_order", lambda seq: Cardinal(1))
+    monkeypatch.setattr(cli, "subgroup_order", lambda seq: 1)
     code, text = run_cli("verify", D8, "g2")
     assert code == 2
     assert text.startswith("FAIL")
@@ -131,6 +134,12 @@ def test_parse_args_shapes():
         cli.parse_args(["--bound", "x", "order", D8])
     with pytest.raises(cli.UsageError):
         cli.parse_args(["igs", D8, "g1", "--", "g2"])
+    with pytest.raises(cli.UsageError):
+        cli.parse_args(["--bound"])
+    with pytest.raises(cli.UsageError):
+        cli.parse_args(["--frobnicate", "order", D8])
+    with pytest.raises(cli.UsageError):
+        cli.parse_args(["equal", D8, "g1", "--", "g2", "--", "g3"])
 
 
 def test_deep_recursion_is_an_error(tmp_path, capsys):

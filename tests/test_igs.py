@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from collections import deque
 
@@ -7,7 +9,7 @@ import pytest
 
 import helpers
 import polygauss as pg
-from polygauss import INFINITE, Cardinal
+from polygauss import INFINITE
 
 
 def _subgroup_igs(pres, gens):
@@ -113,8 +115,23 @@ def test_subgroup_order_and_index_free_abelian(z2):
 
 def test_empty_igs_in_free_abelian(z2):
     seq = _subgroup_igs(z2, [])
-    assert pg.subgroup_order(seq) == Cardinal(1)
+    assert pg.subgroup_order(seq) == 1
     assert pg.subgroup_index(z2, seq) == INFINITE
+
+
+def test_orders_are_ints_or_infinite(d8, z2):
+    seq = _subgroup_igs(d8, [pg.generator(d8, 2)])
+    values = [pg.subgroup_order(seq), pg.subgroup_index(d8, seq)]
+    values += [u.relative_order() for u in seq]
+    assert values == [4, 2, 2, 2] and all(type(v) is int for v in values)
+    seq = _subgroup_igs(z2, [pg.Element(z2, (0, 3))])
+    assert pg.subgroup_order(seq) is pg.INFINITE
+    assert pg.subgroup_index(z2, seq) is pg.INFINITE
+    assert seq.gens[0].relative_order() is pg.INFINITE
+    assert str(pg.INFINITE) == "infinity" and repr(pg.INFINITE) == "INFINITE"
+    assert 3 * pg.INFINITE is pg.INFINITE and pg.INFINITE * pg.INFINITE is pg.INFINITE
+    assert copy.deepcopy(pg.INFINITE) is pg.INFINITE
+    assert pickle.loads(pickle.dumps(pg.INFINITE)) is pg.INFINITE
 
 
 def test_sift_examples(d8, z2):
@@ -255,7 +272,7 @@ def test_free_abelian_matches_hnf(z2):
         assert [list(u.exponents) for u in seq] == hnf
         expected = INFINITE
         if len(pivots) == 2:
-            expected = Cardinal(pivots[0] * pivots[1])
+            expected = pivots[0] * pivots[1]
         assert pg.subgroup_index(z2, seq) == expected
 
 
@@ -315,6 +332,11 @@ def test_igs_binding_mismatch(d8):
         pg.igs_by_generators(d8, [pg.generator(z4, 1)])
     with pytest.raises(pg.PresentationMismatch):
         pg.add_gen_to_pigs(pg.Igs(d8, ()), pg.generator(z4, 1))
+    z2 = helpers.free_abelian(2)
+    with pytest.raises(pg.PresentationMismatch):
+        pg.subgroup_index(d8, pg.igs_by_generators(z2, pg.generators(z2)))
+    with pytest.raises(pg.PresentationMismatch):
+        pg.subgroup_index(d8, pg.Igs(z2, ()))
 
 
 def test_partial_igs_slot_validation(d8):
@@ -341,8 +363,8 @@ def _closure_without_skip(pres, gens):
         for d in sorted(changes):
             u = changes[d]
             rel = u.relative_order()
-            if rel.is_finite:
-                p = u ** rel.value
+            if rel is not INFINITE:
+                p = u ** rel
                 if not p.is_identity:
                     queue.append(p)
             for h in list(pigs):
@@ -411,3 +433,10 @@ def test_closure_commutator_calls(monkeypatch):
     d8 = helpers.dihedral8()
     made, seq = closure_calls(d8, pg.generators(d8)[:2])
     assert made > 0 and pg.subgroup_order(seq) == 8
+
+    # Z/8 with a stray invconj entry; collection never reads it, as r_1 = 2
+    stray = pg.load_presentation("pcp 3\norders 2 2 2\ninvconj 2 1 2^1 3^1\n"
+                                 "power 1 2^1\npower 2 3^1\n")
+    assert stray.commutes(2, 1) and pg.validate_inverse_tails(stray) == [(2, 1)]
+    made, seq = closure_calls(stray, pg.generators(stray)[:2])
+    assert made == 0 and pg.subgroup_order(seq) == 8

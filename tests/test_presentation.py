@@ -83,6 +83,10 @@ def test_power_relation_for_infinite_generator_rejected():
     "pcp 1\norders 2\npcp 1\n",
     "pcp 1\norders 2\norders 2\n",
     "conj 2 1 2^1\npcp 2\norders 2 2\n",
+    "pcp 1\npower 1\norders 2\n",
+    "pcp 1\norders 2\npower\n",
+    "pcp 1\norders 2\npower x\n",
+    "pcp 2\norders 2 2\nconj x 1\n",
 ])
 def test_malformed_text_rejected(text):
     with pytest.raises(pg.PcpSyntaxError):
@@ -99,6 +103,7 @@ def test_malformed_text_rejected(text):
     "pcp 2\norders 2 2\npower 3 \n",
     "pcp 2\norders 2 2\nconj 2 1\n",
     "pcp 2\norders 0 0\nconj 2 1 2^-1\ninvconj 2 1\n",
+    "pcp 2\norders 0 0\ninvconj 3 1 2^1\n",
 ])
 def test_invalid_structure_rejected(text):
     with pytest.raises(pg.PcpValidationError):
@@ -130,6 +135,13 @@ def test_presentation_rejects_float_entries():
         pg.PcPresentation(2, [2.0, 0])
     with pytest.raises(TypeError):
         pg.PcPresentation(2, [2, 2], powers={1: [(2, 1.0)]})
+    heis_conj, heis_inv = [(2, 1), (3, 1)], [(2, 1), (3, -1)]
+    with pytest.raises(TypeError):
+        pg.PcPresentation(3, [0, 0, 0], conjugates={(2.0, 1): heis_conj},
+                          inv_conjugates={(2, 1): heis_inv})
+    with pytest.raises(TypeError):
+        pg.PcPresentation(3, [0, 0, 0], conjugates={(2, 1): heis_conj},
+                          inv_conjugates={(2, 1.0): heis_inv})
 
 
 def test_explicit_empty_power_tail_is_identity():
