@@ -108,10 +108,7 @@ def _igs_lines(seq: Igs, machine: bool) -> str:
 
 
 def _is_free_abelian(pres: PcPresentation) -> bool:
-    if any(r != 0 for r in pres.orders):
-        return False
-    return all(pres.commutes(i, j)
-               for i in range(2, pres.num_gens + 1) for j in range(1, i))
+    return not any(pres.orders) and not any(pres.noncommuting)
 
 
 def _verify_against_oracle(pres, gens, bound) -> list[str]:

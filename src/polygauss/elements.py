@@ -186,14 +186,14 @@ class Element:
     __slots__ = ("presentation", "exponents")
 
     def __init__(self, presentation: PcPresentation, exponents: Iterable[int]):
-        exps = tuple(operator.index(e) for e in exponents)
+        exps = tuple(map(operator.index, exponents))
         if len(exps) != presentation.num_gens:
             raise ValueError(
                 f"expected {presentation.num_gens} exponents, got {len(exps)}")
-        for idx, (e, r) in enumerate(zip(exps, presentation.orders), start=1):
-            if r > 0 and not 0 <= e < r:
-                raise ValueError(
-                    f"exponent {e} of g{idx} outside normal-form range 0..{r - 1}")
+        for idx, r in enumerate(presentation.orders):
+            if r and not 0 <= exps[idx] < r:
+                raise ValueError(f"exponent {exps[idx]} of g{idx + 1} outside "
+                                 f"normal-form range 0..{r - 1}")
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "exponents", exps)
 

@@ -11,6 +11,14 @@ leading exponents; in both cases the quotients that raise the depth are
 fed back into a work list.  When the gcd of the two leading exponents
 equals one of them, the slot update and one of the quotients are skipped.
 
+Entries are kept small by reducing them during elimination, as Kannan and
+Bachem do for the Hermite normal form: at each deeper occupied depth e of
+infinite relative order, an entry's exponent is brought into [0, lead_e)
+by a power of the entry at e.  Each new or merged slot entry is reduced
+before it is placed.  After the sweep, entries it left untouched are
+reduced again where the closure has no work for them.  Finite depths are
+not reduced here, so for a finite group elimination is unchanged.
+
 :func:`igs_by_generators` drives this to closure, additionally feeding
 back relative-order powers and the commutators of every changed slot
 with the other slots.  A pair is skipped when every generator in the
@@ -22,12 +30,15 @@ power u^r(u) with finite relative order sifts to the identity through
 the later entries, and so does each conjugate u_i^{u_j} (j < i).  These
 closure conditions are decidable by :func:`verify_igs`, which skips the
 conjugates of pairs that commute by the same test, and make membership
-testing by depth-wise division (:func:`sift`) exact.
+testing by depth-wise division (:func:`sift`) exact.  A last pass
+reduces every entry at every infinite depth, so the igs returned is
+reduced there; in Z^n it is the Hermite normal form.
 
 Subgroup order and index read off directly from an igs as ints or INFINITE,
 and a canonical form obtained by reducing the entries above each later
-leading exponent (division with remainder, exactly as in the Hermite normal
-form of an integer matrix) is unique per subgroup, which decides equality.
+leading exponent at every depth, finite ones included (division with
+remainder, exactly as in the Hermite normal form of an integer matrix) is
+unique per subgroup, which decides equality.
 """
 
 from __future__ import annotations
@@ -106,8 +117,11 @@ class Igs:
 def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
     """Absorb one element: returns a partial igs generating <pigs, gen>.
 
-    The second component maps each depth whose entry changed to its new
-    entry; it is empty exactly when the result equals `pigs`.
+    New and merged entries are reduced at the deeper infinite depths, and
+    so are untouched entries of infinite relative order whose support
+    commutes with every generator.  The second component maps each depth
+    whose entry changed to its new entry; it is empty exactly when the
+    result equals `pigs`.
     """
     pres = pigs.presentation
     check_binding(pres, gen)
@@ -133,7 +147,7 @@ def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
         for h in pending[d]:
             k = slots[d - 1]
             if k is None:
-                u = h.normalised()
+                u = _reduced(h.normalised(), slots)
                 slots[d - 1] = u
                 if pres.orders[d - 1] > 0:
                     q = h.leading_exponent() // u.leading_exponent()
@@ -147,7 +161,7 @@ def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
                 continue
             g, u_co, v_co = _xgcd(a, b)
             w = h if g == a else (h ** u_co) * (k ** v_co)
-            wn = w.normalised()
+            wn = _reduced(w.normalised(), slots)
             assert wn.depth() == d and wn.leading_exponent() == g
             assert b % g == 0 and g != b, "slot leading exponent must shrink properly"
             slots[d - 1] = wn
@@ -155,24 +169,69 @@ def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
                 push_residue(h * wn ** (-(a // g)), d)
             push_residue(k * wn ** (-(b // g)), d)
 
+    # Deeper slots may have changed since an untouched entry was reduced.
+    # Re-reduce only entries the closure has no work for even as changes:
+    # infinite relative order (no power) and a support that commutes with
+    # every generator (no commutator), before and after.
+    for d in range(n, 0, -1):
+        u = slots[d - 1]
+        if (u is not None and u is before[d - 1] and not pres.orders[d - 1]
+                and not _clash(pres, u)):
+            v = _reduced(u, slots)
+            if not _clash(pres, v):
+                slots[d - 1] = v
+
     changes = {d: slots[d - 1] for d in range(1, n + 1)
                if slots[d - 1] != before[d - 1]}
     return Igs(pres, [u for u in slots if u is not None]), changes
 
 
-def _clash(pres: PcPresentation, u: Element) -> list[int]:
-    """The generators that fail, by the presentation, to commute with u's support.
+def _reduced(u: Element, slots: list) -> Element:
+    """u times powers of deeper slot entries, reduced at infinite depths.
 
+    At each depth e > depth(u) with r_e = 0 and an entry v, the exponent of
+    the result lies in [0, lead(v)).  Multiplying by a power of v leaves
+    the exponents above depth(v) alone, so one pass in increasing depth
+    reduces them all.  Finite depths are left as they are.
+    """
+    pres = u.presentation
+    for e in range(u.depth() + 1, pres.num_gens + 1):
+        v = slots[e - 1]
+        if v is not None and not pres.orders[e - 1]:
+            q = u.exponents[e - 1] // v.exponents[e - 1]
+            if q:
+                u = u * v ** (-q)
+    return u
+
+
+def _support(u: Element) -> int:
+    """Bitmask of u's support: bit i - 1 set when g_i occurs in u."""
+    mask = 0
+    for idx, e in enumerate(u.exponents):
+        if e:
+            mask |= 1 << idx
+    return mask
+
+
+def _clash(pres: PcPresentation, u: Element) -> int:
+    """Bitmask of the generators that fail, by the presentation, to commute with u.
+
+    Bit j - 1 stands for g_j, as in :attr:`PcPresentation.noncommuting`.
     An element h whose support misses them commutes with u exactly:
     [u, h] is the identity and u^h = u.
     """
-    support = [i for i, e in enumerate(u.exponents, start=1) if e]
-    return [j for j in range(1, pres.num_gens + 1)
-            if not all(pres.commutes(i, j) for i in support)]
+    mask = 0
+    for idx, e in enumerate(u.exponents):
+        if e:
+            mask |= pres.noncommuting[idx]
+    return mask
 
 
 def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
-    """Compute an igs of the subgroup generated by the given elements."""
+    """Compute an igs of the subgroup generated by the given elements.
+
+    Its entries are reduced at every depth of infinite relative order.
+    """
     gens = list(gens)
     check_binding(pres, *gens)
     seq = Igs(pres, ())
@@ -188,12 +247,22 @@ def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
                 if not p.is_identity:
                     queue.append(p)
             clash = _clash(pres, u)
+            if not clash:
+                continue
             for h in seq.gens:
-                if h is not u and any(h.exponents[j - 1] for j in clash):
+                if h is not u and _support(h) & clash:
                     c = u.commutator(h)
                     if not c.is_identity:
                         queue.append(c)
-    return seq
+    # Replacing an entry by its product with an element of the subgroup the
+    # later entries generate keeps depths, leading exponents and every
+    # closure condition: the result is an igs of the same subgroup.
+    slots = [None] * pres.num_gens
+    for u in seq.gens:
+        slots[u.depth() - 1] = u
+    for u in reversed(seq.gens):
+        slots[u.depth() - 1] = _reduced(u, slots)
+    return Igs(pres, [u for u in slots if u is not None])
 
 
 class SiftResult(NamedTuple):
@@ -252,10 +321,11 @@ def verify_igs(candidate: Iterable[Element]) -> bool:
             if not _sift_through(elems[i + 1:], u ** rel).membership:
                 return False
     clashes = [_clash(pres, u) for u in elems]
+    supports = [_support(u) for u in elems]
     for j in range(len(elems)):
         for i in range(j + 1, len(elems)):
             # a commuting pair gives u_i^{u_j} = u_i, which sifts at once
-            if not any(elems[j].exponents[k - 1] for k in clashes[i]):
+            if not supports[j] & clashes[i]:
                 continue
             conj = elems[i].conjugate(elems[j])
             if not _sift_through(elems[j + 1:], conj).membership:

@@ -99,10 +99,13 @@ class PcPresentation:
     strictly increasing indices; they double as normal-form exponent
     data.  Trivial conjugate tails (``g_i`` itself) are normalised away
     so that an absent entry always means "commutes".
+
+    ``noncommuting[i - 1]`` is a bitmask with bit j - 1 set when g_i and
+    g_j fail to commute by the presentation (see :meth:`commutes`).
     """
 
     __slots__ = ("num_gens", "orders", "conjugates", "inv_conjugates", "powers",
-                 "_hash")
+                 "noncommuting", "_hash")
 
     def __init__(self, num_gens, orders, conjugates=None, inv_conjugates=None,
                  powers=None):
@@ -117,6 +120,15 @@ class PcPresentation:
         self._validate()
         # an empty power tail is the identity, the same as no entry at all
         self.powers = {k: t for k, t in self.powers.items() if t}
+        masks = [0] * self.num_gens
+        # collection reads invconj (i, j) only past g_j^-1, which needs r_j = 0
+        pairs = list(self.conjugates) + [
+            (i, j) for (i, j), t in self.inv_conjugates.items()
+            if self.orders[j - 1] == 0 and t != ((i, 1),)]
+        for i, j in pairs:
+            masks[i - 1] |= 1 << (j - 1)
+            masks[j - 1] |= 1 << (i - 1)
+        self.noncommuting = tuple(masks)
         self._hash = hash((self.num_gens, self.orders,
                            tuple(sorted(self.conjugates.items())),
                            tuple(sorted(self.inv_conjugates.items())),
@@ -181,13 +193,7 @@ class PcPresentation:
 
     def commutes(self, i: int, j: int) -> bool:
         """Symmetric: True when collection reads no nontrivial tail for g_i, g_j."""
-        if i < j:
-            i, j = j, i
-        if (i, j) in self.conjugates:
-            return False
-        inv = self.inv_conjugates.get((i, j))
-        # collection reads invconj (i, j) only past g_j^-1, which needs r_j = 0
-        return inv is None or inv == ((i, 1),) or self.orders[j - 1] > 0
+        return not self.noncommuting[i - 1] >> (j - 1) & 1
 
     def conjugate_tail(self, i: int, j: int, sign: int = 1) -> tuple[Syllable, ...]:
         """Normal form of g_i conjugated by g_j**sign, as syllables."""

@@ -52,6 +52,49 @@ def carry_chain(n: int) -> pg.PcPresentation:
                              powers={i: [(i + 1, 1)] for i in range(1, n)})
 
 
+def unitriangular(n: int, p: int = 0) -> pg.PcPresentation:
+    """UT(n, Z) (p = 0) or UT(n, Z/p) on the elementary matrices e_ij, i < j.
+
+    Generators are ordered by height j - i, then by row.  With
+    a^b = a [a, b], the relations are [e_ij, e_jl] = e_il and
+    [e_ij, e_ki] = e_kj^-1; conjugating by b^-1 flips the sign.
+    """
+    pairs = [(i, i + h) for h in range(1, n) for i in range(1, n - h + 1)]
+    index = {pair: k for k, pair in enumerate(pairs, start=1)}
+    conj, invconj = {}, {}
+    for a, (i, j) in enumerate(pairs, start=1):
+        for b, (k, l) in enumerate(pairs[:a - 1], start=1):
+            if j == k:
+                c, sign = index[(i, l)], 1
+            elif l == i:
+                c, sign = index[(k, j)], -1
+            else:
+                continue
+            conj[(a, b)] = [(a, 1), (c, sign % p if p else sign)]
+            if not p:
+                invconj[(a, b)] = [(a, 1), (c, -sign)]
+    return pg.PcPresentation(len(pairs), [p] * len(pairs), conj, invconj)
+
+
+def stray_invconj_z8() -> pg.PcPresentation:
+    """Z/8 with an invconj entry that collection never reads, as r_1 = 2."""
+    return pg.load_presentation("pcp 3\norders 2 2 2\ninvconj 2 1 2^1 3^1\n"
+                                "power 1 2^1\npower 2 3^1\n")
+
+
+def sparse_lattice_rows(n: int, seed: int) -> list[list[int]]:
+    """n + 1 rows of Z^n, each with 3 nonzero entries in [-5, 5]."""
+    rng = random.Random(seed)
+    values = [v for v in range(-5, 6) if v]
+    rows = []
+    for _ in range(n + 1):
+        row = [0] * n
+        for col in rng.sample(range(n), 3):
+            row[col] = rng.choice(values)
+        rows.append(row)
+    return rows
+
+
 _FINITE_CORPUS: dict[str, pg.PcPresentation] | None = None
 
 

@@ -10,6 +10,7 @@ import pytest
 import helpers
 import polygauss as pg
 from polygauss import INFINITE
+from polygauss.igs import _xgcd
 
 
 def _subgroup_igs(pres, gens):
@@ -372,7 +373,21 @@ def _closure_without_skip(pres, gens):
                     c = u.commutator(h)
                     if not c.is_identity:
                         queue.append(c)
-    return pigs
+    return _reduce_infinite_depths(pigs)
+
+
+def _reduce_infinite_depths(seq):
+    """canonical_igs restricted to the depths of infinite relative order."""
+    gens = list(seq)
+    orders = seq.presentation.orders
+    for t in reversed(range(len(gens))):
+        for k in range(t + 1, len(gens)):
+            d = gens[k].depth()
+            if orders[d - 1] == 0:
+                q = gens[t].exponents[d - 1] // gens[k].exponents[d - 1]
+                if q:
+                    gens[t] = gens[t] * gens[k] ** (-q)
+    return pg.Igs(seq.presentation, gens)
 
 
 def test_closure_matches_reference_without_skip():
@@ -434,9 +449,100 @@ def test_closure_commutator_calls(monkeypatch):
     made, seq = closure_calls(d8, pg.generators(d8)[:2])
     assert made > 0 and pg.subgroup_order(seq) == 8
 
-    # Z/8 with a stray invconj entry; collection never reads it, as r_1 = 2
-    stray = pg.load_presentation("pcp 3\norders 2 2 2\ninvconj 2 1 2^1 3^1\n"
-                                 "power 1 2^1\npower 2 3^1\n")
+    stray = helpers.stray_invconj_z8()
     assert stray.commutes(2, 1) and pg.validate_inverse_tails(stray) == [(2, 1)]
     made, seq = closure_calls(stray, pg.generators(stray)[:2])
     assert made == 0 and pg.subgroup_order(seq) == 8
+
+
+def test_free_abelian_igs_is_hermite_normal_form():
+    # sparse generators made the unreduced entries swell to hundreds of
+    # bits; reduced during elimination they are the HNF rows themselves
+    for n, seeds in ((12, range(1, 11)), (16, range(1, 6))):
+        pres = helpers.free_abelian(n)
+        for seed in seeds:
+            rows = helpers.sparse_lattice_rows(n, seed)
+            seq = pg.igs_by_generators(pres, [pg.Element(pres, r) for r in rows])
+            hnf, _ = pg.hermite_normal_form(rows, ncols=n)
+            assert [list(u.exponents) for u in seq] == hnf, (n, seed)
+
+
+def _unreduced_add(pigs, gen):
+    """One elimination sweep that never reduces against deeper slots."""
+    pres = pigs.presentation
+    n = pres.num_gens
+    slots = [None] * n
+    for u in pigs:
+        slots[u.depth() - 1] = u
+    before = list(slots)
+    pending = [[] for _ in range(n + 2)]
+    pending[gen.depth()].append(gen)
+    for d in range(1, n + 1):
+        for h in pending[d]:
+            k = slots[d - 1]
+            if k is None:
+                u = slots[d - 1] = h.normalised()
+                if pres.orders[d - 1] > 0:
+                    r = h * u ** (-(h.leading_exponent() // u.leading_exponent()))
+                    pending[r.depth()].append(r)
+                continue
+            a, b = h.leading_exponent(), k.leading_exponent()
+            if a % b == 0:
+                r = h * k ** (-(a // b))
+                pending[r.depth()].append(r)
+                continue
+            g, x, y = _xgcd(a, b)
+            wn = slots[d - 1] = (h if g == a else (h ** x) * (k ** y)).normalised()
+            residues = [h * wn ** (-(a // g))] if g != a else []
+            for r in residues + [k * wn ** (-(b // g))]:
+                pending[r.depth()].append(r)
+    changes = {d: slots[d - 1] for d in range(1, n + 1) if slots[d - 1] != before[d - 1]}
+    return pg.Igs(pres, [u for u in slots if u is not None]), changes
+
+
+def _unreduced_closure(pres, gens):
+    """igs_by_generators as it was before reduction during elimination."""
+    pigs = pg.Igs(pres, ())
+    queue = deque(g for g in gens if not g.is_identity)
+    while queue:
+        pigs, changes = _unreduced_add(pigs, queue.popleft())
+        for d in sorted(changes):
+            u = changes[d]
+            rel = u.relative_order()
+            p = u ** rel if rel is not INFINITE else None
+            if p is not None and not p.is_identity:
+                queue.append(p)
+            support = [i for i, e in enumerate(u.exponents, start=1) if e]
+            for h in pigs:
+                if h is u or all(pres.commutes(i, j) for i in support
+                                 for j, e in enumerate(h.exponents, start=1) if e):
+                    continue
+                c = u.commutator(h)
+                if not c.is_identity:
+                    queue.append(c)
+    return pigs
+
+
+def test_reduced_elimination_matches_unreduced_reference():
+    groups = [helpers.load_data(path.name) for path in sorted(helpers.DATA.glob("*.pcp"))]
+    groups += [helpers.unitriangular(4), helpers.free_abelian(4), helpers.carry_chain(10)]
+    rng = random.Random(137)
+    sets = 0
+    for pres in groups:
+        finite = all(pres.orders)
+        for _ in range(75):
+            gens = [helpers.random_element(pres, rng, spread=4)
+                    for _ in range(rng.randint(1, 3))]
+            expected = _unreduced_closure(pres, gens)
+            got = pg.igs_by_generators(pres, gens)
+            assert pg.verify_igs(list(got))
+            assert pg.canonical_igs(got) == pg.canonical_igs(expected)
+            for t, u in enumerate(got.gens):
+                for v in got.gens[t + 1:]:
+                    d = v.depth()
+                    if pres.orders[d - 1] == 0:
+                        assert 0 <= u.exponents[d - 1] < v.exponents[d - 1]
+            if finite:
+                assert [u.exponents for u in got] == [u.exponents for u in expected]
+            sets += 1
+    assert sets >= 800

@@ -128,6 +128,33 @@ def test_commutes_is_symmetric():
     assert not d8.commutes(1, 2) and d8.commutes(1, 3)
 
 
+def _commutes_pairwise(pres, i, j):
+    """The pairwise lookup that the noncommuting masks replace."""
+    if i < j:
+        i, j = j, i
+    if (i, j) in pres.conjugates:
+        return False
+    inv = pres.inv_conjugates.get((i, j))
+    return inv is None or inv == ((i, 1),) or pres.orders[j - 1] > 0
+
+
+def test_noncommuting_masks_match_pairwise_definition():
+    groups = [pg.load_presentation(path.read_text())
+              for path in sorted(helpers.DATA.glob("*.pcp"))]
+    groups += [helpers.unitriangular(6, 2), helpers.unitriangular(4),
+               helpers.stray_invconj_z8()]
+    for pres in groups:
+        gens = range(1, pres.num_gens + 1)
+        assert len(pres.noncommuting) == pres.num_gens
+        for i in gens:
+            expected = sum(1 << (j - 1) for j in gens if not _commutes_pairwise(pres, i, j))
+            assert pres.noncommuting[i - 1] == expected, (pres, i)
+            for j in gens:
+                assert pres.commutes(i, j) == _commutes_pairwise(pres, i, j)
+    assert helpers.stray_invconj_z8().noncommuting == (0, 0, 0)
+    assert any(helpers.unitriangular(4).noncommuting)
+
+
 def test_presentation_rejects_float_entries():
     with pytest.raises(TypeError):
         pg.PcPresentation(2.5, [0, 0])
