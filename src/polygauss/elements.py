@@ -14,8 +14,13 @@ Writing d for the depth of v there are three cases:
 * d = i: same, after adding the exponents at position i.
 * d < i: g_i^x must move right past the leading syllable g_d^f of v.
   Since conjugation by g_d maps everything beyond depth d to itself,
-  g_i^x g_d^f = g_d^f (g_i^{g_d^f})^x, and the conjugate of g_i is built
-  from the stored (inverse) conjugate tails one g_d at a time.
+  g_i^x g_d^f = g_d^f (g_i^{g_d^f})^x.  Conjugation by g_d^f is the
+  composite of the conjugations by g_d^(+-2^t) over the set bits t of
+  abs(f), so the conjugate of g_i takes at most bitlength(abs(f)) steps.
+  The images of each generator under those conjugations are memoised on
+  the presentation: the image at t = 0 is the stored (inverse) conjugate
+  tail, and the image at t is the image at t - 1 conjugated once more,
+  syllable by syllable, with the images at t - 1.
 
 Every recursive step operates strictly deeper in the generator sequence,
 which bounds the recursion by the number of generators.  All exponents
@@ -108,9 +113,8 @@ def _lmul_syllable(pres: PcPresentation, i: int, x: int, vec: Vector) -> Vector:
         ri = pres.orders[i - 1]
         if ri > 0:
             q, y = divmod(y, ri)
-            if q:
-                tail = _from_tail(pres, pres.power_tail(i))
-                rest = _mul(pres, _pow(pres, tail, q), rest)
+            if q and i in pres.powers:
+                rest = _mul(pres, _pow(pres, _power_tail(pres, i), q), rest)
         if y == 0:
             return rest
         out = list(rest)
@@ -128,23 +132,70 @@ def _lmul_syllable(pres: PcPresentation, i: int, x: int, vec: Vector) -> Vector:
     return tuple(out)
 
 
-def _gen_conj_by_power(pres: PcPresentation, i: int, j: int, f: int) -> Vector:
-    """Normal form of g_i conjugated by g_j^f, for j < i."""
-    if f == 0 or pres.commutes(i, j):
-        return _unit(pres, i)
-    sign = 1 if f > 0 else -1
-    vec = _unit(pres, i)
-    for _ in range(abs(f)):
-        vec = _conj_step(pres, vec, j, sign)
+def _power_tail(pres: PcPresentation, i: int) -> Vector:
+    """The nonempty power tail of g_i as a vector, memoised under the key i."""
+    vec = pres._memo.get(i)
+    if vec is None:
+        vec = pres._memo[i] = _from_tail(pres, pres.power_tail(i))
     return vec
 
 
-def _conj_step(pres: PcPresentation, vec: Vector, j: int, sign: int) -> Vector:
-    """Conjugate an element beyond depth j by g_j**sign, syllable-wise."""
+def _gen_conj_by_power(pres: PcPresentation, i: int, j: int, f: int) -> Vector:
+    """Normal form of g_i conjugated by g_j^f, for j < i.
+
+    The conjugations by g_j^(sign * 2^t) commute with each other, so they
+    are applied over the set bits t of abs(f) from the lowest up.
+    """
+    if f == 0 or pres.commutes(i, j):
+        return _unit(pres, i)
+    sign = 1 if f > 0 else -1
+    f = abs(f)
+    t = (f & -f).bit_length() - 1
+    vec = _image(pres, i, j, sign, t)
+    f >>= t + 1
+    while f:
+        t += 1
+        if f & 1:
+            vec = _conj_by_image(pres, vec, j, sign, t)
+        f >>= 1
+    return vec
+
+
+def _image(pres: PcPresentation, k: int, j: int, sign: int, t: int) -> Vector:
+    """Normal form of g_k conjugated by g_j^(sign * 2^t), for j < k.
+
+    Memoised on the presentation under the key (k, j, sign, t); missing
+    levels are filled bottom-up, each from the one below, so every level
+    from 0 to t is present afterwards.  Each key has one possible value,
+    so threads that fill the same level twice store the same vector.
+    """
+    if pres.commutes(k, j):
+        return _unit(pres, k)
+    memo = pres._memo
+    vec = memo.get((k, j, sign, t))
+    if vec is not None:
+        return vec
+    s = t - 1
+    while s >= 0 and (k, j, sign, s) not in memo:
+        s -= 1
+    if s < 0:
+        s = 0
+        vec = memo[(k, j, sign, 0)] = _from_tail(pres, pres.conjugate_tail(k, j, sign))
+    else:
+        vec = memo[(k, j, sign, s)]
+    while s < t:
+        vec = _conj_by_image(pres, vec, j, sign, s)
+        s += 1
+        memo[(k, j, sign, s)] = vec
+    return vec
+
+
+def _conj_by_image(pres: PcPresentation, vec: Vector, j: int, sign: int,
+                   t: int) -> Vector:
+    """Conjugate an element beyond depth j by g_j^(sign * 2^t), syllable-wise."""
     result = (0,) * pres.num_gens
     for k, e in reversed(_syllables(vec)):
-        base = _from_tail(pres, pres.conjugate_tail(k, j, sign))
-        result = _mul(pres, _pow(pres, base, e), result)
+        result = _mul(pres, _pow(pres, _image(pres, k, j, sign, t), e), result)
     return result
 
 
@@ -206,6 +257,9 @@ class Element:
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
+
+    def __reduce__(self):
+        return (Element, (self.presentation, self.exponents))
 
     # -- basic queries ---------------------------------------------------
 

@@ -97,6 +97,9 @@ class Igs:
     def __setattr__(self, name, value):
         raise AttributeError("Igs is immutable")
 
+    def __reduce__(self):
+        return (Igs, (self.presentation, self.gens))
+
     def __iter__(self):
         return iter(self.gens)
 

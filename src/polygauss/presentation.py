@@ -102,10 +102,16 @@ class PcPresentation:
 
     ``noncommuting[i - 1]`` is a bitmask with bit j - 1 set when g_i and
     g_j fail to commute by the presentation (see :meth:`commutes`).
+
+    Collection keeps a private memo here, filled on first use: power
+    tails and the conjugates of g_k by g_j^(+-2^t) as exponent vectors.
+    It is derived from the tables, so the tables must not be mutated
+    after construction.  The memo takes no part in equality, hashing,
+    copying or pickling: a copy starts with an empty one.
     """
 
     __slots__ = ("num_gens", "orders", "conjugates", "inv_conjugates", "powers",
-                 "noncommuting", "_hash")
+                 "noncommuting", "_hash", "_memo")
 
     def __init__(self, num_gens, orders, conjugates=None, inv_conjugates=None,
                  powers=None):
@@ -133,6 +139,7 @@ class PcPresentation:
                            tuple(sorted(self.conjugates.items())),
                            tuple(sorted(self.inv_conjugates.items())),
                            tuple(sorted(self.powers.items()))))
+        self._memo = {}
 
     def _validate(self):
         n = self.num_gens
@@ -223,6 +230,10 @@ class PcPresentation:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return (PcPresentation, (self.num_gens, self.orders, self.conjugates,
+                                 self.inv_conjugates, self.powers))
 
     def __repr__(self):
         return f"PcPresentation(n={self.num_gens}, orders={list(self.orders)})"

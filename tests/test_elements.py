@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
 import helpers
 import polygauss as pg
+import polygauss.elements as elements
 from polygauss import INFINITE
+from polygauss.elements import _gen_conj_by_power as _conj
 
 
 # -- tiny permutation machinery, an oracle wholly independent of collection --
@@ -288,3 +294,171 @@ def test_infinite_exponents_grow_exactly(heis):
     assert (y ** 50).commutator(x ** 50).exponents == (0, 0, 2500)
     assert (x ** 50).commutator(y ** 50).exponents == (0, 0, -2500)
     assert ((x ** 50) * (y ** 50)).exponents == (50, 50, 0)
+
+
+# -- conjugation by g_j^f from memoised power-of-two images --------------------
+
+def _conj_by_steps(pres, i, j, sign, steps):
+    """The step-by-step routine: g_i conjugated by g_j**sign, one g_j at a time.
+
+    Yields the conjugate by g_j^(sign * f) for f = 1..steps.
+    """
+    g = pg.generator(pres, i)
+    for _ in range(steps):
+        result = pg.identity(pres)
+        for k, e in reversed([(k, e) for k, e in enumerate(g.exponents, 1) if e]):
+            result = pg.collect(pres, pres.conjugate_tail(k, j, sign)) ** e * result
+        g = result
+        yield g
+
+
+def _noncommuting_pairs(pres):
+    return [(i, j) for i in range(2, pres.num_gens + 1) for j in range(1, i)
+            if not pres.commutes(i, j)]
+
+
+def _conjugation_corpus():
+    groups = {path.stem: helpers.load_data(path.name)
+              for path in sorted(helpers.DATA.glob("*.pcp"))}
+    groups.update({f"ut{n}": helpers.unitriangular(n) for n in (4, 5, 6)})
+    groups["ut4_mod3"] = helpers.unitriangular(4, 3)
+    groups["stray_invconj_z8"] = helpers.stray_invconj_z8()
+    return groups
+
+
+@pytest.mark.parametrize("name", sorted(_conjugation_corpus()))
+def test_conjugation_matches_step_by_step(name):
+    pres = _conjugation_corpus()[name]
+    for i in range(2, pres.num_gens + 1):
+        for j in range(1, i):
+            assert _conj(pres, i, j, 0) == pg.generator(pres, i).exponents
+    for i, j in _noncommuting_pairs(pres):
+        # collection conjugates by a negative power of g_j only when r_j = 0
+        for sign in (1, -1) if pres.orders[j - 1] == 0 else (1,):
+            steps = _conj_by_steps(pres, i, j, sign, 300)
+            for f, expected in enumerate(steps, 1):
+                assert _conj(pres, i, j, sign * f) == expected.exponents, (i, j, sign * f)
+    if name == "stray_invconj_z8":
+        # the stray invconj entry is never read, so every pair commutes
+        assert not _noncommuting_pairs(pres)
+
+
+def _ut_matrix(n, word):
+    """Left-to-right product of elementary matrices I + e*E_ij in UT(n, Z)."""
+    pairs = [(i, i + h) for h in range(1, n) for i in range(1, n - h + 1)]
+    m = [[int(r == c) for c in range(n)] for r in range(n)]
+    for a, e in word:
+        i, j = pairs[a - 1]
+        for row in m:  # right multiplication adds e * column i to column j
+            row[j - 1] += e * row[i - 1]
+    return m
+
+
+def _memo_bound(pres, largest_f):
+    return 2 * len(_noncommuting_pairs(pres)) * largest_f.bit_length() + pres.num_gens
+
+
+def _record_largest_f(monkeypatch):
+    seen = [0]
+    conj = elements._gen_conj_by_power
+
+    def recording(pres, i, j, f):
+        seen[0] = max(seen[0], abs(f))
+        return conj(pres, i, j, f)
+
+    monkeypatch.setattr(elements, "_gen_conj_by_power", recording)
+    return seen
+
+
+def test_conjugation_exact_at_large_exponents(monkeypatch):
+    seen = _record_largest_f(monkeypatch)
+    ut3 = helpers.unitriangular(3)
+    k = 2 ** 64 + 3
+    word = ((2, k), (1, k))  # y^k x^k with x = e_12, y = e_23
+    result = pg.collect(ut3, word)
+    assert result.exponents == (k, k, -k * k)
+    assert _ut_matrix(3, word) == _ut_matrix(3, enumerate(result.exponents, 1))
+    assert seen[0] == k
+    assert len(ut3._memo) <= _memo_bound(ut3, seen[0])
+
+    ut5 = helpers.unitriangular(5)
+    rng = random.Random(40)
+    for _ in range(20):
+        word = [(rng.randint(1, 10), rng.randint(-2 ** 40, 2 ** 40))
+                for _ in range(rng.randint(2, 5))]
+        result = pg.collect(ut5, word)
+        assert _ut_matrix(5, word) == _ut_matrix(5, enumerate(result.exponents, 1)), word
+    assert seen[0] >= 2 ** 39
+    assert len(ut5._memo) <= _memo_bound(ut5, seen[0])
+
+
+def test_memo_is_invisible():
+    warm, cold = helpers.unitriangular(4), helpers.unitriangular(4)
+    rng = random.Random(5)
+    words = [helpers.random_word(warm, rng, length=6, spread=1000) for _ in range(20)]
+    results = [pg.collect(warm, w) for w in words]
+    assert warm._memo and not cold._memo
+    assert warm == cold and hash(warm) == hash(cold)
+    assert results == [pg.collect(cold, w) for w in words]
+
+
+def test_empty_power_relation_is_skipped():
+    # UT(3, Z/3) stores no power tails: overflowing exponents just wrap
+    pres = helpers.unitriangular(3, 3)
+    assert not pres.powers
+    word = [(1, 7), (2, 5), (1, -4), (3, 4)]
+    result = pg.collect(pres, word)
+    assert result.exponents == (0, 2, 0)
+    mod3 = [[v % 3 for v in row] for row in _ut_matrix(3, word)]
+    assert mod3 == _ut_matrix(3, enumerate(result.exponents, 1))
+    assert pres._memo.keys() <= {(2, 1, 1, t) for t in range(3)}
+    # with a power tail the tail is read as a vector under the key i
+    z8 = helpers.carry_chain(3)
+    assert pg.collect(z8, [(1, 5)]).exponents == (1, 0, 1)
+    assert 1 in z8._memo and z8._memo[1] == (0, 1, 0)
+
+
+@pytest.mark.parametrize("roundtrip", [copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))])
+def test_values_copy_and_pickle_from_a_warm_memo(roundtrip):
+    pres = helpers.unitriangular(4)
+    x = pg.collect(pres, [(2, 40), (1, -37), (3, 9)])
+    seq = pg.igs_by_generators(pres, [x, pg.generator(pres, 5) ** 3])
+    assert pres._memo
+    pres2, x2, seq2 = roundtrip((pres, x, seq))
+    assert not pres2._memo
+    assert (pres2, x2, seq2) == (pres, x, seq)
+    assert (hash(pres2), hash(x2), hash(seq2)) == (hash(pres), hash(x), hash(seq))
+    assert x2.presentation is pres2 and seq2.presentation is pres2
+    word = [(3, -5), (1, 11), (2, 6), (4, 2)]
+    assert pg.collect(pres2, word).exponents == pg.collect(pres, word).exponents
+    assert (x2 * x2).exponents == (x * x).exponents
+
+
+def test_memo_shared_across_threads():
+    # threads filling one cold memo at once may compute an image twice,
+    # but each key has one value, so every result stays exact
+    shared, reference = helpers.unitriangular(5), helpers.unitriangular(5)
+    rng = random.Random(8)
+    words = [helpers.random_word(shared, rng, length=6, spread=10 ** 6)
+             for _ in range(12)]
+    expected = [pg.collect(reference, w) for w in words]
+    results = {}
+
+    def work(worker):
+        for n, w in enumerate(words[worker:] + words[:worker]):
+            results[worker, (n + worker) % len(words)] = pg.collect(shared, w)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {(k, n): expected[n] for k in range(4) for n in range(len(words))}
+    assert shared._memo == reference._memo
