@@ -114,7 +114,8 @@ def _lmul_syllable(pres: PcPresentation, i: int, x: int, vec: Vector) -> Vector:
         if ri > 0:
             q, y = divmod(y, ri)
             if q and i in pres.powers:
-                rest = _mul(pres, _pow(pres, _power_tail(pres, i), q), rest)
+                tail = _from_tail(pres, pres.power_tail(i))
+                rest = _mul(pres, _pow(pres, tail, q), rest)
         if y == 0:
             return rest
         out = list(rest)
@@ -130,14 +131,6 @@ def _lmul_syllable(pres: PcPresentation, i: int, x: int, vec: Vector) -> Vector:
     out = list(combined)
     out[d - 1] = f  # combined lies beyond depth d, so the slot is free
     return tuple(out)
-
-
-def _power_tail(pres: PcPresentation, i: int) -> Vector:
-    """The nonempty power tail of g_i as a vector, memoised under the key i."""
-    vec = pres._memo.get(i)
-    if vec is None:
-        vec = pres._memo[i] = _from_tail(pres, pres.power_tail(i))
-    return vec
 
 
 def _gen_conj_by_power(pres: PcPresentation, i: int, j: int, f: int) -> Vector:

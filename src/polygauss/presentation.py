@@ -103,8 +103,8 @@ class PcPresentation:
     ``noncommuting[i - 1]`` is a bitmask with bit j - 1 set when g_i and
     g_j fail to commute by the presentation (see :meth:`commutes`).
 
-    Collection keeps a private memo here, filled on first use: power
-    tails and the conjugates of g_k by g_j^(+-2^t) as exponent vectors.
+    Collection keeps a private memo here, filled on first use: the
+    conjugates of g_k by g_j^(+-2^t) as exponent vectors.
     It is derived from the tables, so the tables must not be mutated
     after construction.  The memo takes no part in equality, hashing,
     copying or pickling: a copy starts with an empty one.
