@@ -20,6 +20,7 @@ problems and 2 when ``verify`` finds a mismatch.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -132,11 +133,7 @@ def _verify_against_oracle(pres, gens, bound) -> list[str]:
         rows = [list(u.exponents) for u in canonical_igs(seq).gens]
         if rows != hnf:
             problems.append("canonical igs differs from the Hermite normal form")
-        expected = 1
-        for p in pivots:
-            expected = expected * p
-        if len(pivots) < pres.num_gens:
-            expected = INFINITE
+        expected = math.prod(pivots) if len(pivots) == pres.num_gens else INFINITE
         if subgroup_index(pres, seq) != expected:
             problems.append("index differs from the Hermite pivot product")
     else:

@@ -11,13 +11,19 @@ leading exponents; in both cases the quotients that raise the depth are
 fed back into a work list.  When the gcd of the two leading exponents
 equals one of them, the slot update and one of the quotients are skipped.
 
+Every quotient in this module is one division step, as in integer row
+reduction: x * u^(-q), where u is an entry of depth d and q is x's
+exponent at d divided by u's leading exponent, rounded down.  Elimination
+uses it for the residues it feeds back, :func:`sift` for membership and
+reduction for the entries themselves.
+
 Entries are kept small by reducing them during elimination, as Kannan and
 Bachem do for the Hermite normal form: at each deeper occupied depth e of
 infinite relative order, an entry's exponent is brought into [0, lead_e)
-by a power of the entry at e.  Each new or merged slot entry is reduced
-before it is placed.  After the sweep, entries it left untouched are
-reduced again where the closure has no work for them.  Finite depths are
-not reduced here, so for a finite group elimination is unchanged.
+by a division step by the entry at e.  Each new or merged slot entry is
+reduced before it is placed.  After the sweep, entries it left untouched
+are reduced again where the closure has no work for them.  Finite depths
+are not reduced here, so for a finite group elimination is unchanged.
 
 :func:`igs_by_generators` drives this to closure, additionally feeding
 back relative-order powers and the commutators of every changed slot
@@ -30,15 +36,17 @@ power u^r(u) with finite relative order sifts to the identity through
 the later entries, and so does each conjugate u_i^{u_j} (j < i).  These
 closure conditions are decidable by :func:`verify_igs`, which skips the
 conjugates of pairs that commute by the same test, and make membership
-testing by depth-wise division (:func:`sift`) exact.  A last pass
-reduces every entry at every infinite depth, so the igs returned is
-reduced there; in Z^n it is the Hermite normal form.
+testing by depth-wise division (:func:`sift`) exact.
 
-Subgroup order and index read off directly from an igs as ints or INFINITE,
-and a canonical form obtained by reducing the entries above each later
-leading exponent at every depth, finite ones included (division with
-remainder, exactly as in the Hermite normal form of an integer matrix) is
-unique per subgroup, which decides equality.
+One reduction pass ends both :func:`igs_by_generators` and
+:func:`canonical_igs`: deepest entry first, each entry is reduced against
+the deeper entries, which are already reduced.  The first reduces at the
+infinite depths only, so the igs it returns is reduced there; in Z^n it
+is the Hermite normal form.  The second reduces at every depth, finite
+ones included, exactly as in the Hermite normal form of an integer
+matrix; on an igs the result is unique per subgroup, which decides
+equality.  Subgroup order and index read off directly from an igs as
+ints or INFINITE.
 """
 
 from __future__ import annotations
@@ -129,10 +137,7 @@ def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
     pres = pigs.presentation
     check_binding(pres, gen)
     n = pres.num_gens
-    # slots[d - 1] holds the entry of depth d, or None
-    before = [None] * n
-    for u in pigs.gens:
-        before[u.depth() - 1] = u
+    before = _slot_table(pres, pigs.gens)
     slots = list(before)
     # pending[e] is the FIFO work list at depth e; the identity lands in
     # pending[n + 1], which is never swept
@@ -150,27 +155,26 @@ def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
         for h in pending[d]:
             k = slots[d - 1]
             if k is None:
-                u = _reduced(h.normalised(), slots)
+                u = _reduced(h.normalised(), d, slots)
                 slots[d - 1] = u
                 if pres.orders[d - 1] > 0:
-                    q = h.leading_exponent() // u.leading_exponent()
-                    push_residue(h * u ** (-q), d)
+                    push_residue(_divided(h, u, d), d)
                 continue
             a = h.leading_exponent()
             b = k.leading_exponent()
             if a % b == 0:
                 # gcd(a, b) = b: the occupant already covers h modulo depth d
-                push_residue(h * k ** (-(a // b)), d)
+                push_residue(_divided(h, k, d), d)
                 continue
             g, u_co, v_co = _xgcd(a, b)
             w = h if g == a else (h ** u_co) * (k ** v_co)
-            wn = _reduced(w.normalised(), slots)
+            wn = _reduced(w.normalised(), d, slots)
             assert wn.depth() == d and wn.leading_exponent() == g
             assert b % g == 0 and g != b, "slot leading exponent must shrink properly"
             slots[d - 1] = wn
             if g != a:
-                push_residue(h * wn ** (-(a // g)), d)
-            push_residue(k * wn ** (-(b // g)), d)
+                push_residue(_divided(h, wn, d), d)
+            push_residue(_divided(k, wn, d), d)
 
     # Deeper slots may have changed since an untouched entry was reduced.
     # Re-reduce only entries the closure has no work for even as changes:
@@ -180,7 +184,7 @@ def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
         u = slots[d - 1]
         if (u is not None and u is before[d - 1] and not pres.orders[d - 1]
                 and not _clash(pres, u)):
-            v = _reduced(u, slots)
+            v = _reduced(u, d, slots)
             if not _clash(pres, v):
                 slots[d - 1] = v
 
@@ -189,22 +193,53 @@ def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
     return Igs(pres, [u for u in slots if u is not None]), changes
 
 
-def _reduced(u: Element, slots: list) -> Element:
-    """u times powers of deeper slot entries, reduced at infinite depths.
+def _slot_table(pres: PcPresentation, gens: Iterable[Element]) -> list:
+    """slots[d - 1] is the entry of depth d among `gens`, or None."""
+    slots = [None] * pres.num_gens
+    for u in gens:
+        slots[u.depth() - 1] = u
+    return slots
 
-    At each depth e > depth(u) with r_e = 0 and an entry v, the exponent of
-    the result lies in [0, lead(v)).  Multiplying by a power of v leaves
-    the exponents above depth(v) alone, so one pass in increasing depth
-    reduces them all.  Finite depths are left as they are.
+
+def _divided(x: Element, u: Element, d: int) -> Element:
+    """The division step at depth d = depth(u): x * u^(-q), q the floor quotient.
+
+    q is x's exponent at d divided by u's leading exponent, rounded down;
+    x itself is returned when q = 0.
     """
-    pres = u.presentation
-    for e in range(u.depth() + 1, pres.num_gens + 1):
+    q = x.exponents[d - 1] // u.exponents[d - 1]
+    return x * u ** (-q) if q else x
+
+
+def _reduced(u: Element, d: int, slots: list, finite: bool = False) -> Element:
+    """u, of depth d, divided by each deeper slot entry in increasing depth.
+
+    Only the depths of infinite relative order are divided at, unless
+    `finite`.  At each such depth e with an entry v, the exponent of the
+    result lies in [0, lead(v)).  Multiplying by a power of v leaves the
+    exponents above depth e alone, so one pass reduces them all.
+    """
+    orders = u.presentation.orders
+    for e in range(d + 1, len(slots) + 1):
         v = slots[e - 1]
-        if v is not None and not pres.orders[e - 1]:
-            q = u.exponents[e - 1] // v.exponents[e - 1]
-            if q:
-                u = u * v ** (-q)
+        if v is not None and (finite or not orders[e - 1]):
+            u = _divided(u, v, e)
     return u
+
+
+def _reduction_pass(seq: Igs, finite: bool) -> Igs:
+    """Reduce every entry, deepest first, against deeper entries already reduced.
+
+    Replacing an entry by its product with an element of the subgroup the
+    later entries generate keeps depths, leading exponents and every
+    closure condition: on an igs the result is an igs of the same subgroup.
+    """
+    slots = _slot_table(seq.presentation, seq.gens)
+    for d in range(len(slots), 0, -1):
+        u = slots[d - 1]
+        if u is not None:
+            slots[d - 1] = _reduced(u, d, slots, finite)
+    return Igs(seq.presentation, [u for u in slots if u is not None])
 
 
 def _support(u: Element) -> int:
@@ -257,15 +292,7 @@ def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
                     c = u.commutator(h)
                     if not c.is_identity:
                         queue.append(c)
-    # Replacing an entry by its product with an element of the subgroup the
-    # later entries generate keeps depths, leading exponents and every
-    # closure condition: the result is an igs of the same subgroup.
-    slots = [None] * pres.num_gens
-    for u in seq.gens:
-        slots[u.depth() - 1] = u
-    for u in reversed(seq.gens):
-        slots[u.depth() - 1] = _reduced(u, slots)
-    return Igs(pres, [u for u in slots if u is not None])
+    return _reduction_pass(seq, finite=False)
 
 
 class SiftResult(NamedTuple):
@@ -273,30 +300,25 @@ class SiftResult(NamedTuple):
     membership: bool
 
 
-def _sift_through(gens: list[Element], g: Element) -> SiftResult:
-    by_depth = {u.depth(): u for u in gens}
+def _sift_through(slots: list, g: Element) -> SiftResult:
     residue = g
-    n = g.presentation.num_gens
+    n = len(slots)
     while True:
         d = residue.depth()
         if d > n:
             return SiftResult(residue, True)
-        u = by_depth.get(d)
-        if u is None:
+        u = slots[d - 1]
+        # normalisation forces lead | r_d, so divisibility of the plain
+        # exponent decides solvability modulo r_d as well
+        if u is None or residue.exponents[d - 1] % u.exponents[d - 1]:
             return SiftResult(residue, False)
-        lead = u.exponents[d - 1]
-        e = residue.exponents[d - 1]
-        if e % lead:
-            # normalisation forces lead | r_d, so divisibility of the plain
-            # exponent decides solvability modulo r_d as well
-            return SiftResult(residue, False)
-        residue = residue * u ** (-(e // lead))
+        residue = _divided(residue, u, d)
 
 
 def sift(seq: Igs, g: Element) -> SiftResult:
     """Depth-wise division of g by the igs; exact membership for a verified igs."""
     check_binding(seq.presentation, g)
-    return _sift_through(list(seq.gens), g)
+    return _sift_through(_slot_table(seq.presentation, seq.gens), g)
 
 
 def verify_igs(candidate: Iterable[Element]) -> bool:
@@ -305,7 +327,9 @@ def verify_igs(candidate: Iterable[Element]) -> bool:
     True iff depths strictly increase, every finite relative-order power
     u_i^r(u_i) sifts to the identity through the entries after i, and
     every conjugate u_i^{u_j} with j < i sifts to the identity through
-    the entries after j.
+    the entries after j.  Both lie strictly deeper than the entry they are
+    checked after, and sifting only goes deeper, so they are sifted
+    through all the entries at once.
     """
     elems = list(candidate)
     if not elems:
@@ -318,10 +342,11 @@ def verify_igs(candidate: Iterable[Element]) -> bool:
         return False
     if any(d2 <= d1 for d1, d2 in zip(depths, depths[1:])):
         return False
-    for i, u in enumerate(elems):
+    slots = _slot_table(pres, elems)
+    for u in elems:
         rel = u.relative_order()
         if rel is not INFINITE:
-            if not _sift_through(elems[i + 1:], u ** rel).membership:
+            if not _sift_through(slots, u ** rel).membership:
                 return False
     clashes = [_clash(pres, u) for u in elems]
     supports = [_support(u) for u in elems]
@@ -331,7 +356,7 @@ def verify_igs(candidate: Iterable[Element]) -> bool:
             if not supports[j] & clashes[i]:
                 continue
             conj = elems[i].conjugate(elems[j])
-            if not _sift_through(elems[j + 1:], conj).membership:
+            if not _sift_through(slots, conj).membership:
                 return False
     return True
 
@@ -347,28 +372,24 @@ def subgroup_order(seq: Igs):
 def subgroup_index(pres: PcPresentation, seq: Igs):
     """[G:U], an int or INFINITE: leading exponents times missed relative orders."""
     check_binding(pres, seq)
-    hit = {u.depth() for u in seq.gens}
     total = 1
-    for u in seq.gens:
-        total = total * u.leading_exponent()
-    for d in range(1, pres.num_gens + 1):
-        if d not in hit:
+    for d, u in enumerate(_slot_table(pres, seq.gens), start=1):
+        if u is not None:
+            total = total * u.exponents[d - 1]
+        else:
             r = pres.orders[d - 1]
             total = total * (INFINITE if r == 0 else r)
     return total
 
 
 def canonical_igs(seq: Igs) -> Igs:
-    """Reduce every entry above each later leading exponent; unique per subgroup."""
-    gens = list(seq.gens)
-    for t in range(len(gens)):
-        for k in range(t + 1, len(gens)):
-            d = gens[k].depth()
-            lead = gens[k].exponents[d - 1]
-            q = gens[t].exponents[d - 1] // lead
-            if q:
-                gens[t] = gens[t] * gens[k] ** (-q)
-    return Igs(seq.presentation, gens)
+    """Reduce every entry above each later leading exponent, finite depths too.
+
+    On an igs the result is unique per subgroup.  On a partial igs that
+    fails :func:`verify_igs` it is still a partial igs of the same
+    subgroup, but which one depends on the order of reduction.
+    """
+    return _reduction_pass(seq, finite=True)
 
 
 def subgroups_equal(u_gens: Iterable[Element], v_gens: Iterable[Element]) -> bool:

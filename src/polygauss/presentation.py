@@ -168,20 +168,15 @@ class PcPresentation:
                         f"{what}: exponent {e} at index {k} outside 0..{rk - 1}")
                 prev = k
 
-        for (i, j), tail in sorted(self.conjugates.items()):
-            if not 1 <= j < i <= n:
-                raise PcpValidationError(f"conj key ({i},{j}) needs 1 <= j < i <= n")
-            if not tail:
-                raise PcpValidationError(
-                    f"conj {i} {j}: empty tail would conjugate g{i} to the identity")
-            check_tail(tail, j, f"conj {i} {j}")
-        for (i, j), tail in sorted(self.inv_conjugates.items()):
-            if not 1 <= j < i <= n:
-                raise PcpValidationError(f"invconj key ({i},{j}) needs 1 <= j < i <= n")
-            if not tail:
-                raise PcpValidationError(
-                    f"invconj {i} {j}: empty tail would conjugate g{i} to the identity")
-            check_tail(tail, j, f"invconj {i} {j}")
+        for keyword, table in (("conj", self.conjugates), ("invconj", self.inv_conjugates)):
+            for (i, j), tail in sorted(table.items()):
+                if not 1 <= j < i <= n:
+                    raise PcpValidationError(
+                        f"{keyword} key ({i},{j}) needs 1 <= j < i <= n")
+                if not tail:
+                    raise PcpValidationError(f"{keyword} {i} {j}: empty tail "
+                                             f"would conjugate g{i} to the identity")
+                check_tail(tail, j, f"{keyword} {i} {j}")
         for i, tail in sorted(self.powers.items()):
             if not 1 <= i <= n:
                 raise PcpValidationError(f"power key {i} out of range")
@@ -332,10 +327,9 @@ def save_presentation(pres: PcPresentation) -> str:
              "orders " + " ".join(str(r) for r in pres.orders)]
     def tail_text(tail):
         return "".join(f" {k}^{e}" for k, e in tail)
-    for (i, j), tail in sorted(pres.conjugates.items()):
-        lines.append(f"conj {i} {j}{tail_text(tail)}")
-    for (i, j), tail in sorted(pres.inv_conjugates.items()):
-        lines.append(f"invconj {i} {j}{tail_text(tail)}")
+    for keyword, table in (("conj", pres.conjugates), ("invconj", pres.inv_conjugates)):
+        for (i, j), tail in sorted(table.items()):
+            lines.append(f"{keyword} {i} {j}{tail_text(tail)}")
     for i, tail in sorted(pres.powers.items()):
         lines.append(f"power {i}{tail_text(tail)}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import pickle
 import random
 from collections import deque
@@ -546,3 +547,90 @@ def test_reduced_elimination_matches_unreduced_reference():
                 assert [u.exponents for u in got] == [u.exponents for u in expected]
             sets += 1
     assert sets >= 800
+
+
+def _sliced_sift_through(gens, g):
+    """Sift through a list of entries, found by depth in a dict."""
+    by_depth = {u.depth(): u for u in gens}
+    residue = g
+    while not residue.is_identity:
+        d = residue.depth()
+        u = by_depth.get(d)
+        if u is None or residue.exponents[d - 1] % u.exponents[d - 1]:
+            return False, residue
+        residue = residue * u ** (-(residue.exponents[d - 1] // u.exponents[d - 1]))
+    return True, residue
+
+
+def _sliced_verify_igs(elems):
+    """The closure conditions, each sifted through only the entries after it."""
+    if not elems:
+        return True
+    depths = [u.depth() for u in elems]
+    if depths[-1] > elems[0].presentation.num_gens:
+        return False
+    if any(d2 <= d1 for d1, d2 in zip(depths, depths[1:])):
+        return False
+    for i, u in enumerate(elems):
+        rel = u.relative_order()
+        if rel is not INFINITE and not _sliced_sift_through(elems[i + 1:], u ** rel)[0]:
+            return False
+    pres = elems[0].presentation
+    supports = [[k for k, e in enumerate(u.exponents, start=1) if e] for u in elems]
+    for j in range(len(elems)):
+        for i in range(j + 1, len(elems)):
+            # a pair that commutes by the presentation gives u_i^{u_j} = u_i
+            if all(pres.commutes(a, b) for a in supports[j] for b in supports[i]):
+                continue
+            if not _sliced_sift_through(elems[j + 1:], elems[i].conjugate(elems[j]))[0]:
+                return False
+    return True
+
+
+def _shallowest_first_canonical(seq):
+    """Reduce each entry in turn, first to last, against the later entries."""
+    gens = list(seq)
+    for t in range(len(gens)):
+        for k in range(t + 1, len(gens)):
+            d = gens[k].depth()
+            q = gens[t].exponents[d - 1] // gens[k].exponents[d - 1]
+            if q:
+                gens[t] = gens[t] * gens[k] ** (-q)
+    return pg.Igs(seq.presentation, gens)
+
+
+# SHA-256 of the raw igs of every set in the test below.  It pins the
+# output of elimination exactly: a change that moves any raw igs entry
+# fails here, and must say why before it updates this value
+_RAW_IGS_DIGEST = "0f90e4e191d65fb18bd6945da1642d1c80b3a5139aeb0ab70f67dbfbbe06e32a"
+
+
+def test_igs_helpers_match_sliced_and_shallowest_first_references():
+    groups = [helpers.load_data(path.name) for path in sorted(helpers.DATA.glob("*.pcp"))]
+    groups += [helpers.unitriangular(4), helpers.unitriangular(4, 3),
+               helpers.unitriangular(5, 3), helpers.unitriangular(6, 2),
+               helpers.free_abelian(4), helpers.carry_chain(12), helpers.stray_invconj_z8()]
+    rng = random.Random(139)
+    digest = hashlib.sha256()
+    sets = 0
+    for pres in groups:
+        for _ in range(54):
+            gens = [helpers.random_element(pres, rng, spread=4)
+                    for _ in range(rng.randint(1, 3))]
+            seq = pg.igs_by_generators(pres, gens)
+            digest.update(repr([u.exponents for u in seq]).encode())
+            assert pg.canonical_igs(seq) == _shallowest_first_canonical(seq)
+            assert pg.verify_igs(list(seq)) and _sliced_verify_igs(list(seq))
+            partial = pg.Igs(pres, ())
+            for g in gens[:rng.randint(1, 2)]:
+                partial, _ = pg.add_gen_to_pigs(partial, g)
+            assert pg.verify_igs(list(partial)) == _sliced_verify_igs(list(partial))
+            for target, g in ((seq, helpers.random_element(pres, rng, spread=8)),
+                              (seq, gens[0] * gens[-1] ** -1),
+                              (partial, helpers.random_element(pres, rng, spread=8))):
+                result = pg.sift(target, g)
+                assert (result.membership, result.residue) == \
+                    _sliced_sift_through(list(target), g)
+            sets += 1
+    assert sets >= 800
+    assert digest.hexdigest() == _RAW_IGS_DIGEST
