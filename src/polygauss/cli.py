@@ -64,6 +64,8 @@ def parse_args(argv: list[str]) -> Request:
                 bound = int(args.pop(0))
             except ValueError:
                 raise UsageError("--bound needs an integer value") from None
+            if bound < 1:
+                raise UsageError(f"--bound must be positive, got {bound}")
         elif flag in ("-h", "--help"):
             raise UsageError("help")
         else:

@@ -1,26 +1,37 @@
 """Element arithmetic over a fixed polycyclic presentation.
 
-Elements are stored as normal-form exponent vectors.  Arbitrary words are
-brought to normal form by collection: the word is consumed right to left
-and each generator power is pushed into the partially collected normal
-form, applying the presentation's relations.
+Elements are stored as normal-form exponent vectors (tuples).  Arbitrary
+words are brought to normal form by collection.
 
-The single rewriting primitive is ``g_i^x * v`` for a normal form v.
-Writing d for the depth of v there are three cases:
+The single primitive, :func:`_lmul`, left-multiplies a private mutable
+exponent list of known depth by a word, in place, and returns the new
+depth.  The word's syllables g_i^x are pushed into the list from right
+to left.  Writing d for the current depth there are three cases:
 
 * d > i: the power merges at position i; out-of-range exponents are
   reduced with the power relation g_i^r_i = tail, whose tail uses only
-  deeper generators and is folded into v.
-* d = i: same, after adding the exponents at position i.
-* d < i: g_i^x must move right past the leading syllable g_d^f of v.
+  deeper generators and is folded into the list.
+* d = i: same, after adding the exponents at position i.  Only when the
+  leading exponent cancels is the depth looked up again.
+* d < i: g_i^x must move right past the leading syllable g_d^f.
   Since conjugation by g_d maps everything beyond depth d to itself,
-  g_i^x g_d^f = g_d^f (g_i^{g_d^f})^x.  Conjugation by g_d^f is the
-  composite of the conjugations by g_d^(+-2^t) over the set bits t of
-  abs(f), so the conjugate of g_i takes at most bitlength(abs(f)) steps.
-  The images of each generator under those conjugations are memoised on
-  the presentation: the image at t = 0 is the stored (inverse) conjugate
-  tail, and the image at t is the image at t - 1 conjugated once more,
-  syllable by syllable, with the images at t - 1.
+  g_i^x g_d^f = g_d^f (g_i^{g_d^f})^x.  The pass clears g_d^f, multiplies
+  the power of the image into the list, and puts g_d^f back.
+  Conjugation by g_d^f is the composite of the conjugations by
+  g_d^(+-2^t) over the set bits t of abs(f), so the conjugate of g_i
+  takes at most bitlength(abs(f)) steps.  The images of each generator
+  under those conjugations are memoised on the presentation: the image
+  at t = 0 is the stored (inverse) conjugate tail, and the image at t is
+  the image at t - 1 conjugated once more, syllable by syllable, with the
+  images at t - 1.
+
+Every operation is one call of the primitive with a different word: a
+product a * b pushes the syllables of a into a copy of b, and an inverse
+needs no collection of its own, since the inverse of s_1 ... s_m is the
+word s_m^-1 ... s_1^-1, pushed into the identity or into a product.
+Powers go by binary powering and carry the depths of their operands.
+The mutable lists never leave the call that made them; exponent vectors
+of elements, memoised images and tails stay tuples.
 
 Every recursive step operates strictly deeper in the generator sequence,
 which bounds the recursion by the number of generators.  All exponents
@@ -75,16 +86,12 @@ def check_binding(pres: PcPresentation, *elems):
 Vector = tuple[int, ...]
 
 
-def _depth(vec: Vector) -> int:
-    """Index of the first nonzero exponent, len(vec)+1 for the identity."""
-    for idx, e in enumerate(vec):
-        if e:
-            return idx + 1
+def _depth(vec, start: int = 1) -> int:
+    """Index of the first nonzero exponent at or after `start`, len(vec)+1 if none."""
+    for k in range(start - 1, len(vec)):
+        if vec[k]:
+            return k + 1
     return len(vec) + 1
-
-
-def _syllables(vec: Vector):
-    return [(i + 1, e) for i, e in enumerate(vec) if e]
 
 
 def _unit(pres: PcPresentation, i: int) -> Vector:
@@ -98,39 +105,68 @@ def _from_tail(pres: PcPresentation, tail) -> Vector:
     return tuple(vec)
 
 
-def _lmul_syllable(pres: PcPresentation, i: int, x: int, vec: Vector) -> Vector:
-    """Normal form of g_i^x times the element with normal form `vec`."""
-    if x == 0:
-        return vec
-    d = _depth(vec)
-    if d >= i:
+def _word(vec, d: int):
+    """Syllables of the normal form `vec` of depth d, from right to left."""
+    for k in range(len(vec), d - 1, -1):
+        e = vec[k - 1]
+        if e:
+            yield k, e
+
+
+def _inverse_word(vec, d: int):
+    """Syllables of the inverse of `vec`, from right to left.
+
+    (s_1 ... s_m)^-1 = s_m^-1 ... s_1^-1, so they are the syllables of
+    vec from left to right with their exponents negated.
+    """
+    for k in range(d, len(vec) + 1):
+        e = vec[k - 1]
+        if e:
+            yield k, -e
+
+
+def _lmul(pres: PcPresentation, vec: list, d: int, word) -> int:
+    """Left-multiply the normal form `vec` of depth d by a word, in place.
+
+    `word` yields the word's syllables (i, x) from right to left; each
+    is pushed into vec in turn.  Returns the depth of the product.  vec
+    must be a list private to the caller.
+    """
+    orders = pres.orders
+    for i, x in word:
+        if not x:
+            continue
+        if d < i:
+            # g_i^x g_d^f = g_d^f (g_i^(g_d^f))^x, and the product of the
+            # power with the rest lies beyond depth d
+            f = vec[d - 1]
+            vec[d - 1] = 0
+            conj = _gen_conj_by_power(pres, i, d, f)
+            _lmul_power(pres, vec, _depth(vec, d + 1), conj, _depth(conj, d + 1), x)
+            vec[d - 1] = f
+            continue
         y = x + vec[i - 1]
-        rest = vec
-        if vec[i - 1]:
-            out = list(vec)
-            out[i - 1] = 0
-            rest = tuple(out)
-        ri = pres.orders[i - 1]
-        if ri > 0:
-            q, y = divmod(y, ri)
+        r = orders[i - 1]
+        if r:
+            q, y = divmod(y, r)
             if q and i in pres.powers:
+                # g_i^(qr) is the tail to the q, folded into the rest
+                vec[i - 1] = 0
                 tail = _from_tail(pres, pres.power_tail(i))
-                rest = _mul(pres, _pow(pres, tail, q), rest)
-        if y == 0:
-            return rest
-        out = list(rest)
-        out[i - 1] = y
-        return tuple(out)
-    # d < i: move g_i^x right past the leading syllable g_d^f
-    f = vec[d - 1]
-    out = list(vec)
-    out[d - 1] = 0
-    rest = tuple(out)
-    conj = _gen_conj_by_power(pres, i, d, f)
-    combined = _mul(pres, _pow(pres, conj, x), rest)
-    out = list(combined)
-    out[d - 1] = f  # combined lies beyond depth d, so the slot is free
-    return tuple(out)
+                d = _lmul_power(pres, vec, _depth(vec, i + 1) if d == i else d,
+                                tail, _depth(tail, i + 1), q)
+        vec[i - 1] = y
+        if y:
+            d = i
+        elif d == i:  # the leading exponent cancelled
+            d = _depth(vec, i + 1)
+    return d
+
+
+def _lmul_power(pres: PcPresentation, vec: list, d: int, a, da: int, k: int) -> int:
+    """Left-multiply vec, of depth d, by a^k for a normal form a of depth da."""
+    p, dp = _pow(pres, a, da, k)
+    return _lmul(pres, vec, d, _word(p, dp))
 
 
 def _gen_conj_by_power(pres: PcPresentation, i: int, j: int, f: int) -> Vector:
@@ -186,37 +222,54 @@ def _image(pres: PcPresentation, k: int, j: int, sign: int, t: int) -> Vector:
 def _conj_by_image(pres: PcPresentation, vec: Vector, j: int, sign: int,
                    t: int) -> Vector:
     """Conjugate an element beyond depth j by g_j^(sign * 2^t), syllable-wise."""
-    result = (0,) * pres.num_gens
-    for k, e in reversed(_syllables(vec)):
-        result = _mul(pres, _pow(pres, _image(pres, k, j, sign, t), e), result)
-    return result
+    n = pres.num_gens
+    result = [0] * n
+    d = n + 1
+    for k, e in _word(vec, j + 1):
+        image = _image(pres, k, j, sign, t)
+        d = _lmul_power(pres, result, d, image, _depth(image, j + 1), e)
+    return tuple(result)
 
 
 def _mul(pres: PcPresentation, a: Vector, b: Vector) -> Vector:
-    for i, e in reversed(_syllables(a)):
-        b = _lmul_syllable(pres, i, e, b)
-    return b
+    vec = list(b)
+    _lmul(pres, vec, _depth(b), _word(a, 1))
+    return tuple(vec)
 
 
 def _inv(pres: PcPresentation, a: Vector) -> Vector:
-    # (s_1 ... s_m)^-1 = s_m^-1 ... s_1^-1, built by prepending left to right
-    result = (0,) * pres.num_gens
-    for i, e in _syllables(a):
-        result = _lmul_syllable(pres, i, -e, result)
-    return result
+    n = pres.num_gens
+    vec = [0] * n
+    _lmul(pres, vec, n + 1, _inverse_word(a, 1))
+    return tuple(vec)
 
 
-def _pow(pres: PcPresentation, a: Vector, k: int) -> Vector:
+def _pow(pres: PcPresentation, a, da: int, k: int):
+    """a^k and its depth for a normal form a of depth da, by binary powering.
+
+    Every intermediate is a fresh list; `a` itself is only read, and may
+    be returned as it is.
+    """
+    n = pres.num_gens
     if k < 0:
-        a, k = _inv(pres, a), -k
-    result = (0,) * pres.num_gens
+        inv = [0] * n
+        da = _lmul(pres, inv, n + 1, _inverse_word(a, da))
+        a, k = inv, -k
+    result, dr = (0,) * n, n + 1
     while k:
         if k & 1:
-            result = _mul(pres, result, a)
+            if dr > n:  # the identity times a is a
+                result, dr = a, da
+            else:
+                prod = list(a)
+                dr = _lmul(pres, prod, da, _word(result, dr))
+                result = prod
         k >>= 1
         if k:
-            a = _mul(pres, a, a)
-    return result
+            square = list(a)
+            da = _lmul(pres, square, da, _word(a, da))
+            a = square
+    return result, dr
 
 
 class Element:
@@ -289,25 +342,28 @@ class Element:
                              _inv(self.presentation, self.exponents))
 
     def __pow__(self, k: int) -> Element:
-        return Element._wrap(self.presentation,
-                             _pow(self.presentation, self.exponents, operator.index(k)))
+        k = operator.index(k)
+        vec, _ = _pow(self.presentation, self.exponents, self.depth(), k)
+        return Element._wrap(self.presentation, tuple(vec))
 
     def conjugate(self, other: Element) -> Element:
         """self conjugated by other: other^-1 * self * other."""
         check_binding(self.presentation, other)
-        pres = self.presentation
-        vec = _mul(pres, _inv(pres, other.exponents),
-                   _mul(pres, self.exponents, other.exponents))
-        return Element._wrap(pres, vec)
+        pres, a, b = self.presentation, self.exponents, other.exponents
+        vec = list(b)
+        d = _lmul(pres, vec, _depth(b), _word(a, 1))
+        _lmul(pres, vec, d, _inverse_word(b, 1))
+        return Element._wrap(pres, tuple(vec))
 
     def commutator(self, other: Element) -> Element:
         """self^-1 * other^-1 * self * other."""
         check_binding(self.presentation, other)
-        pres = self.presentation
-        vec = _mul(pres, _inv(pres, self.exponents),
-                   _mul(pres, _inv(pres, other.exponents),
-                        _mul(pres, self.exponents, other.exponents)))
-        return Element._wrap(pres, vec)
+        pres, a, b = self.presentation, self.exponents, other.exponents
+        vec = list(b)
+        d = _lmul(pres, vec, _depth(b), _word(a, 1))
+        d = _lmul(pres, vec, d, _inverse_word(b, 1))
+        _lmul(pres, vec, d, _inverse_word(a, 1))
+        return Element._wrap(pres, tuple(vec))
 
     def normalised(self) -> Element:
         """The canonical power generating the same cyclic image at this depth.
@@ -345,7 +401,7 @@ class Element:
         return hash(self.exponents)
 
     def __str__(self):
-        return format_word(_syllables(self.exponents))
+        return format_word(enumerate(self.exponents, 1))
 
     def __repr__(self):
         return f"<Element {self}>"
@@ -376,8 +432,8 @@ def collect(pres: PcPresentation, word: str | Iterable[Syllable]) -> Element:
         if not 1 <= operator.index(i) <= pres.num_gens:
             raise ValueError(f"word uses generator index {i}, valid range is "
                              f"1..{pres.num_gens}")
-    vec = (0,) * pres.num_gens
-    for i, e in reversed(entries):
-        vec = _lmul_syllable(pres, i, e, vec)
-    return Element._wrap(pres, vec)
+    n = pres.num_gens
+    vec = [0] * n
+    _lmul(pres, vec, n + 1, reversed(entries))
+    return Element._wrap(pres, tuple(vec))
 

@@ -132,6 +132,10 @@ def test_parse_args_shapes():
         cli.parse_args(["frobnicate", D8])
     with pytest.raises(cli.UsageError):
         cli.parse_args(["--bound", "x", "order", D8])
+    for bad in ("-1", "0"):
+        with pytest.raises(cli.UsageError, match="positive"):
+            cli.parse_args(["--bound", bad, "verify", D8, "g1"])
+    assert cli.parse_args(["--bound", "1", "verify", D8, "g1"]).bound == 1
     with pytest.raises(cli.UsageError):
         cli.parse_args(["igs", D8, "g1", "--", "g2"])
     with pytest.raises(cli.UsageError):

@@ -421,6 +421,89 @@ def test_conjugation_matches_step_by_step(name):
         assert not _noncommuting_pairs(pres)
 
 
+def _collection_corpus():
+    groups = _conjugation_corpus()
+    groups["ut5_mod3"] = helpers.unitriangular(5, 3)
+    groups["carry_chain_12"] = helpers.carry_chain(12)  # power tails and carries
+    return groups
+
+
+def _ref_collect(pres, word):
+    vec = (0,) * pres.num_gens
+    for i, e in reversed(word):
+        vec = _ref_lmul(pres, i, e, vec)
+    return vec
+
+
+@pytest.mark.parametrize("name", sorted(_collection_corpus()))
+def test_collection_matches_reference(name, monkeypatch):
+    # every entry point against the reference collector above: 25 rounds
+    # of 6 operations on each of 16 groups.  Operands are short words
+    # collected by the reference, which stays fast on UT(6, Z).
+    pres = _collection_corpus()[name]
+    rng = random.Random(sum(map(ord, name)))
+    conj = elements._gen_conj_by_power
+
+    def past_leading_syllable(pres, i, j, f):
+        # a stale depth would send g_i past an empty slot j: same product,
+        # wasted work
+        assert f, f"g{i} passes g{j}^0"
+        return conj(pres, i, j, f)
+
+    monkeypatch.setattr(elements, "_gen_conj_by_power", past_leading_syllable)
+
+    def operand():
+        word = helpers.random_word(pres, rng, length=3, spread=2)
+        return pg.Element(pres, _ref_collect(pres, word))
+
+    for _ in range(25):
+        word = helpers.random_word(pres, rng, length=4, spread=2)
+        assert pg.collect(pres, word).exponents == _ref_collect(pres, word), word
+        x, y = operand(), operand()
+        a, b = x.exponents, y.exponents
+        k = rng.choice([-1, 1]) * rng.randint(2, 5)
+        ref_ab = _ref_mul(pres, a, b)
+        ref_inv_a, ref_inv_b = _ref_pow(pres, a, -1), _ref_pow(pres, b, -1)
+        assert (x * y).exponents == ref_ab, (a, b)
+        assert x.inverse().exponents == ref_inv_a, a
+        assert (x ** k).exponents == _ref_pow(pres, a, k), (a, k)
+        assert x.conjugate(y).exponents == _ref_mul(pres, ref_inv_b, ref_ab), (a, b)
+        assert x.commutator(y).exponents == _ref_mul(
+            pres, ref_inv_a, _ref_mul(pres, ref_inv_b, ref_ab)), (a, b)
+
+
+def test_collection_never_writes_into_shared_vectors():
+    # in-place collection works on private lists only: operands, power
+    # tails and memoised images are never written and stay tuples
+    groups = [helpers.unitriangular(4), helpers.unitriangular(4, 3),
+              helpers.carry_chain(6), helpers.extraspecial27(), _shear_heisenberg()]
+    rng = random.Random(17)
+    for pres in groups:
+        powers = {i: tuple(t) for i, t in pres.powers.items()}
+        operands = [helpers.random_element(pres, rng, spread=5) for _ in range(8)]
+        before = [list(x.exponents) for x in operands]
+        memo = {}
+        for _ in range(2):
+            results = []
+            for _ in range(40):
+                x, y = rng.choice(operands), rng.choice(operands)
+                results += [x * y, x.inverse(), x ** rng.randint(-9, 9),
+                            x.conjugate(y), x.commutator(y),
+                            pg.collect(pres, helpers.random_word(pres, rng, spread=9))]
+            operands += results[::7]
+            before += [list(u.exponents) for u in results[::7]]
+            assert all(type(u.exponents) is tuple for u in results)
+            assert [list(x.exponents) for x in operands] == before
+            assert all(type(x.exponents) is tuple for x in operands)
+            # images memoised in the first round are unchanged in the second
+            assert all(type(v) is tuple for v in pres._memo.values())
+            assert all(list(pres._memo[key]) == v for key, v in memo.items())
+            memo = {key: list(v) for key, v in pres._memo.items()}
+        assert memo or not pres.conjugates  # the memo check was not vacuous
+        assert {i: tuple(t) for i, t in pres.powers.items()} == powers
+        assert all(type(pres.power_tail(i)) is tuple for i in pres.powers)
+
+
 def _ut_matrix(n, word, p=0):
     """Left-to-right product of elementary matrices I + e*E_ij in UT(n, Z/p)."""
     pairs = [(i, i + h) for h in range(1, n) for i in range(1, n - h + 1)]
