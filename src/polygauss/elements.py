@@ -28,7 +28,8 @@ to left.  Writing d for the current depth there are three cases:
 Every operation is one call of the primitive with a different word: a
 product a * b pushes the syllables of a into a copy of b, and an inverse
 needs no collection of its own, since the inverse of s_1 ... s_m is the
-word s_m^-1 ... s_1^-1, pushed into the identity or into a product.
+word s_m^-1 ... s_1^-1, pushed into the identity or, for conjugates and
+commutators, straight into a * b.
 Powers go by binary powering and carry the depths of their operands.
 The mutable lists never leave the call that made them; exponent vectors
 of elements, memoised images and tails stay tuples.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 from typing import Iterable
 
 from .presentation import PcPresentation, Syllable, format_word, parse_word
@@ -231,16 +233,10 @@ def _conj_by_image(pres: PcPresentation, vec: Vector, j: int, sign: int,
     return tuple(result)
 
 
-def _mul(pres: PcPresentation, a: Vector, b: Vector) -> Vector:
+def _collected(pres: PcPresentation, word, b: Vector) -> Vector:
+    """Normal form of the word times the normal form b; see :func:`_lmul`."""
     vec = list(b)
-    _lmul(pres, vec, _depth(b), _word(a, 1))
-    return tuple(vec)
-
-
-def _inv(pres: PcPresentation, a: Vector) -> Vector:
-    n = pres.num_gens
-    vec = [0] * n
-    _lmul(pres, vec, n + 1, _inverse_word(a, 1))
+    _lmul(pres, vec, _depth(b), word)
     return tuple(vec)
 
 
@@ -334,12 +330,14 @@ class Element:
 
     def __mul__(self, other: Element) -> Element:
         check_binding(self.presentation, other)
+        word = _word(self.exponents, 1)
         return Element._wrap(self.presentation,
-                             _mul(self.presentation, self.exponents, other.exponents))
+                             _collected(self.presentation, word, other.exponents))
 
     def inverse(self) -> Element:
-        return Element._wrap(self.presentation,
-                             _inv(self.presentation, self.exponents))
+        pres = self.presentation
+        word = _inverse_word(self.exponents, 1)
+        return Element._wrap(pres, _collected(pres, word, (0,) * pres.num_gens))
 
     def __pow__(self, k: int) -> Element:
         k = operator.index(k)
@@ -349,21 +347,16 @@ class Element:
     def conjugate(self, other: Element) -> Element:
         """self conjugated by other: other^-1 * self * other."""
         check_binding(self.presentation, other)
-        pres, a, b = self.presentation, self.exponents, other.exponents
-        vec = list(b)
-        d = _lmul(pres, vec, _depth(b), _word(a, 1))
-        _lmul(pres, vec, d, _inverse_word(b, 1))
-        return Element._wrap(pres, tuple(vec))
+        a, b = self.exponents, other.exponents
+        word = chain(_word(a, 1), _inverse_word(b, 1))
+        return Element._wrap(self.presentation, _collected(self.presentation, word, b))
 
     def commutator(self, other: Element) -> Element:
         """self^-1 * other^-1 * self * other."""
         check_binding(self.presentation, other)
-        pres, a, b = self.presentation, self.exponents, other.exponents
-        vec = list(b)
-        d = _lmul(pres, vec, _depth(b), _word(a, 1))
-        d = _lmul(pres, vec, d, _inverse_word(b, 1))
-        _lmul(pres, vec, d, _inverse_word(a, 1))
-        return Element._wrap(pres, tuple(vec))
+        a, b = self.exponents, other.exponents
+        word = chain(_word(a, 1), _inverse_word(b, 1), _inverse_word(a, 1))
+        return Element._wrap(self.presentation, _collected(self.presentation, word, b))
 
     def normalised(self) -> Element:
         """The canonical power generating the same cyclic image at this depth.
@@ -432,8 +425,5 @@ def collect(pres: PcPresentation, word: str | Iterable[Syllable]) -> Element:
         if not 1 <= operator.index(i) <= pres.num_gens:
             raise ValueError(f"word uses generator index {i}, valid range is "
                              f"1..{pres.num_gens}")
-    n = pres.num_gens
-    vec = [0] * n
-    _lmul(pres, vec, n + 1, reversed(entries))
-    return Element._wrap(pres, tuple(vec))
+    return Element._wrap(pres, _collected(pres, reversed(entries), (0,) * pres.num_gens))
 
