@@ -16,8 +16,9 @@ to left.  Writing d for the current depth there are three cases:
 * d < i: g_i^x must move right past the leading syllable g_d^f.
   Since conjugation by g_d maps everything beyond depth d to itself,
   g_i^x g_d^f = g_d^f (g_i^{g_d^f})^x.  The pass clears g_d^f, multiplies
-  the power of the image into the list, and puts g_d^f back.
-  Conjugation by g_d^f is the composite of the conjugations by
+  the power of the image into the list, and puts g_d^f back.  When g_i
+  and g_d commute by the presentation the image is g_i itself.
+  Otherwise conjugation by g_d^f is the composite of the conjugations by
   g_d^(+-2^t) over the set bits t of abs(f), so the conjugate of g_i
   takes at most bitlength(abs(f)) steps.  The images of each generator
   under those conjugations are memoised on the presentation: the image
@@ -25,12 +26,18 @@ to left.  Writing d for the current depth there are three cases:
   the image at t - 1 conjugated once more, syllable by syllable, with the
   images at t - 1.
 
+A power a^k of a conjugate image or a power tail whose support commutes
+pairwise (as every image in UT(n, Z) does) is a with its exponents
+scaled by k, pushed syllable by syllable; any other power, and the power
+of g_i in a pass past a commuting g_d, goes by binary powering.
+
 Every operation is one call of the primitive with a different word: a
 product a * b pushes the syllables of a into a copy of b, and an inverse
 needs no collection of its own, since the inverse of s_1 ... s_m is the
 word s_m^-1 ... s_1^-1, pushed into the identity or, for conjugates and
 commutators, straight into a * b.
-Powers go by binary powering and carry the depths of their operands.
+Element powers go by binary powering and carry the depths of their
+operands.
 The mutable lists never leave the call that made them; exponent vectors
 of elements, memoised images and tails stay tuples.
 
@@ -100,6 +107,30 @@ def _unit(pres: PcPresentation, i: int) -> Vector:
     return (0,) * (i - 1) + (1,) + (0,) * (pres.num_gens - i)
 
 
+def _support(vec) -> int:
+    """Bitmask of the support of `vec`: bit i - 1 set when g_i occurs in it."""
+    mask = 0
+    for idx, e in enumerate(vec):
+        if e:
+            mask |= 1 << idx
+    return mask
+
+
+def _clash(pres: PcPresentation, vec) -> int:
+    """Bitmask of the generators that fail, by the presentation, to commute with `vec`.
+
+    Bit j - 1 stands for g_j, as in :attr:`PcPresentation.noncommuting`.
+    An element whose support misses them commutes with `vec` exactly, and
+    the generators in the support of `vec` commute pairwise exactly when
+    ``_clash(pres, vec) & _support(vec) == 0``.
+    """
+    mask = 0
+    for idx, e in enumerate(vec):
+        if e:
+            mask |= pres.noncommuting[idx]
+    return mask
+
+
 def _from_tail(pres: PcPresentation, tail) -> Vector:
     vec = [0] * pres.num_gens
     for i, e in tail:
@@ -141,11 +172,7 @@ def _lmul(pres: PcPresentation, vec: list, d: int, word) -> int:
         if d < i:
             # g_i^x g_d^f = g_d^f (g_i^(g_d^f))^x, and the product of the
             # power with the rest lies beyond depth d
-            f = vec[d - 1]
-            vec[d - 1] = 0
-            conj = _gen_conj_by_power(pres, i, d, f)
-            _lmul_power(pres, vec, _depth(vec, d + 1), conj, _depth(conj, d + 1), x)
-            vec[d - 1] = f
+            _pass_leading_syllable(pres, vec, d, i, x)
             continue
         y = x + vec[i - 1]
         r = orders[i - 1]
@@ -155,8 +182,8 @@ def _lmul(pres: PcPresentation, vec: list, d: int, word) -> int:
                 # g_i^(qr) is the tail to the q, folded into the rest
                 vec[i - 1] = 0
                 tail = _from_tail(pres, pres.power_tail(i))
-                d = _lmul_power(pres, vec, _depth(vec, i + 1) if d == i else d,
-                                tail, _depth(tail, i + 1), q)
+                d = _lmul_scaled(pres, vec, _depth(vec, i + 1) if d == i else d,
+                                 tail, _depth(tail, i + 1), q)
         vec[i - 1] = y
         if y:
             d = i
@@ -165,10 +192,47 @@ def _lmul(pres: PcPresentation, vec: list, d: int, word) -> int:
     return d
 
 
+def _pass_leading_syllable(pres: PcPresentation, vec: list, d: int, i: int, x: int):
+    """Left-multiply vec, of depth d < i, by g_i^x, moving it past g_d^f.
+
+    The leading syllable is cleared, the power of g_i's image under
+    conjugation by g_d^f is pushed into the rest, and g_d^f is put back,
+    so the depth stays d.  When g_i and g_d commute the image is g_i
+    itself, and its power still goes by binary powering: pushing g_i^x as
+    one syllable waits on a benchmark whose memory does not grow with
+    throughput (ROADMAP item 1).
+    """
+    f = vec[d - 1]
+    vec[d - 1] = 0
+    rest = _depth(vec, d + 1)
+    if pres.noncommuting[i - 1] >> (d - 1) & 1:
+        conj = _gen_conj_by_power(pres, i, d, f)
+        _lmul_scaled(pres, vec, rest, conj, _depth(conj, d + 1), x)
+    else:
+        _lmul_power(pres, vec, rest, _unit(pres, i), i, x)
+    vec[d - 1] = f
+
+
 def _lmul_power(pres: PcPresentation, vec: list, d: int, a, da: int, k: int) -> int:
-    """Left-multiply vec, of depth d, by a^k for a normal form a of depth da."""
+    """Left-multiply vec, of depth d, by a^k for a normal form a of depth da.
+
+    a^k goes by binary powering; see :func:`_lmul_scaled`.
+    """
     p, dp = _pow(pres, a, da, k)
     return _lmul(pres, vec, d, _word(p, dp))
+
+
+def _lmul_scaled(pres: PcPresentation, vec: list, d: int, a, da: int, k: int) -> int:
+    """Left-multiply vec, of depth d, by a^k for a normal form a of depth da.
+
+    When the generators in a's support commute pairwise,
+    (g_j1^e1 ... g_jm^em)^k = g_j1^(e1 k) ... g_jm^(em k), power relations
+    included, so the syllables of a are pushed with their exponents
+    scaled by k.  Otherwise a^k goes by binary powering.
+    """
+    if _clash(pres, a) & _support(a):
+        return _lmul_power(pres, vec, d, a, da, k)
+    return _lmul(pres, vec, d, ((j, e * k) for j, e in _word(a, da)))
 
 
 def _gen_conj_by_power(pres: PcPresentation, i: int, j: int, f: int) -> Vector:
@@ -177,7 +241,7 @@ def _gen_conj_by_power(pres: PcPresentation, i: int, j: int, f: int) -> Vector:
     The conjugations by g_j^(sign * 2^t) commute with each other, so they
     are applied over the set bits t of abs(f) from the lowest up.
     """
-    if f == 0 or pres.commutes(i, j):
+    if f == 0:
         return _unit(pres, i)
     sign = 1 if f > 0 else -1
     f = abs(f)
@@ -229,7 +293,7 @@ def _conj_by_image(pres: PcPresentation, vec: Vector, j: int, sign: int,
     d = n + 1
     for k, e in _word(vec, j + 1):
         image = _image(pres, k, j, sign, t)
-        d = _lmul_power(pres, result, d, image, _depth(image, j + 1), e)
+        d = _lmul_scaled(pres, result, d, image, _depth(image, j + 1), e)
     return tuple(result)
 
 

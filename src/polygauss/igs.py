@@ -54,7 +54,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple
 
-from .elements import INFINITE, Element, check_binding
+from .elements import INFINITE, Element, _clash, _support, check_binding
 from .presentation import PcPresentation
 
 
@@ -183,9 +183,9 @@ def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
     for d in range(n, 0, -1):
         u = slots[d - 1]
         if (u is not None and u is before[d - 1] and not pres.orders[d - 1]
-                and not _clash(pres, u)):
+                and not _clash(pres, u.exponents)):
             v = _reduced(u, d, slots)
-            if not _clash(pres, v):
+            if not _clash(pres, v.exponents):
                 slots[d - 1] = v
 
     changes = {d: slots[d - 1] for d in range(1, n + 1)
@@ -242,29 +242,6 @@ def _reduction_pass(seq: Igs, finite: bool) -> Igs:
     return Igs(seq.presentation, [u for u in slots if u is not None])
 
 
-def _support(u: Element) -> int:
-    """Bitmask of u's support: bit i - 1 set when g_i occurs in u."""
-    mask = 0
-    for idx, e in enumerate(u.exponents):
-        if e:
-            mask |= 1 << idx
-    return mask
-
-
-def _clash(pres: PcPresentation, u: Element) -> int:
-    """Bitmask of the generators that fail, by the presentation, to commute with u.
-
-    Bit j - 1 stands for g_j, as in :attr:`PcPresentation.noncommuting`.
-    An element h whose support misses them commutes with u exactly:
-    [u, h] is the identity and u^h = u.
-    """
-    mask = 0
-    for idx, e in enumerate(u.exponents):
-        if e:
-            mask |= pres.noncommuting[idx]
-    return mask
-
-
 def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
     """Compute an igs of the subgroup generated by the given elements.
 
@@ -284,11 +261,11 @@ def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
                 p = u ** rel
                 if not p.is_identity:
                     queue.append(p)
-            clash = _clash(pres, u)
+            clash = _clash(pres, u.exponents)
             if not clash:
                 continue
             for h in seq.gens:
-                if h is not u and _support(h) & clash:
+                if h is not u and _support(h.exponents) & clash:
                     c = u.commutator(h)
                     if not c.is_identity:
                         queue.append(c)
@@ -348,8 +325,8 @@ def verify_igs(candidate: Iterable[Element]) -> bool:
         if rel is not INFINITE:
             if not _sift_through(slots, u ** rel).membership:
                 return False
-    clashes = [_clash(pres, u) for u in elems]
-    supports = [_support(u) for u in elems]
+    clashes = [_clash(pres, u.exponents) for u in elems]
+    supports = [_support(u.exponents) for u in elems]
     for j in range(len(elems)):
         for i in range(j + 1, len(elems)):
             # a commuting pair gives u_i^{u_j} = u_i, which sifts at once

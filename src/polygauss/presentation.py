@@ -276,7 +276,8 @@ def load_presentation(source: str | bytes | IO) -> PcPresentation:
         if keyword == "pcp":
             if n is not None:
                 raise PcpSyntaxError(f"line {line_no}: duplicate pcp line")
-            if len(args) != 1 or not args[0].isdigit():
+            # isdigit() also accepts superscripts such as '²', which int() rejects
+            if len(args) != 1 or not args[0].isdecimal():
                 raise PcpSyntaxError(f"line {line_no}: expected 'pcp <n>'")
             n = int(args[0])
         elif keyword == "orders":

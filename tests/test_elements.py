@@ -442,15 +442,15 @@ def test_collection_matches_reference(name, monkeypatch):
     # collected by the reference, which stays fast on UT(6, Z).
     pres = _collection_corpus()[name]
     rng = random.Random(sum(map(ord, name)))
-    conj = elements._gen_conj_by_power
+    pass_ = elements._pass_leading_syllable
 
-    def past_leading_syllable(pres, i, j, f):
-        # a stale depth would send g_i past an empty slot j: same product,
+    def past_leading_syllable(pres, vec, d, i, x):
+        # a stale depth would send g_i past an empty slot d: same product,
         # wasted work
-        assert f, f"g{i} passes g{j}^0"
-        return conj(pres, i, j, f)
+        assert vec[d - 1], f"g{i} passes g{d}^0"
+        return pass_(pres, vec, d, i, x)
 
-    monkeypatch.setattr(elements, "_gen_conj_by_power", past_leading_syllable)
+    monkeypatch.setattr(elements, "_pass_leading_syllable", past_leading_syllable)
 
     def operand():
         word = helpers.random_word(pres, rng, length=3, spread=2)
@@ -558,6 +558,48 @@ def test_conjugation_exact_at_large_exponents(monkeypatch):
                 for _ in range(rng.randint(2, 6))]
         result = pg.collect(ut4_mod3, word)
         assert _ut_matrix(4, word, 3) == _ut_matrix(4, enumerate(result.exponents, 1), 3)
+
+
+def _record_pow_operands(monkeypatch):
+    """Record the number of syllables of each operand elements._pow powers."""
+    sizes = []
+    pow_ = elements._pow
+
+    def recording(pres, a, da, k):
+        sizes.append(sum(1 for e in a if e))
+        return pow_(pres, a, da, k)
+
+    monkeypatch.setattr(elements, "_pow", recording)
+    return sizes
+
+
+def test_images_with_commuting_support_are_scaled(monkeypatch):
+    # in UT(n, Z) every conjugate image of a generator has a support that
+    # commutes pairwise, so its powers are its exponents scaled
+    sizes = _record_pow_operands(monkeypatch)
+    ut3 = helpers.unitriangular(3)
+    k = 2 ** 64 + 3
+    assert pg.collect(ut3, ((2, k), (1, k))).exponents == (k, k, -k * k)
+    assert sizes == []
+
+    # a pass past a commuting generator still powers that one generator
+    # by squaring; nothing larger is powered
+    ut5 = helpers.unitriangular(5)
+    rng = random.Random(41)
+    for _ in range(20):
+        word = [(rng.randint(1, 10), rng.randint(-2 ** 40, 2 ** 40))
+                for _ in range(rng.randint(2, 5))]
+        result = pg.collect(ut5, word)
+        assert _ut_matrix(5, word) == _ut_matrix(5, enumerate(result.exponents, 1)), word
+    assert set(sizes) == {1}
+
+    # the image g2 g3 of g2 under g1 has syllables that do not commute
+    # ([g3, g2] = g4), so its power goes by squaring
+    sizes.clear()
+    pres = _shear_heisenberg()
+    word = ((2, 37), (1, 11))
+    assert pg.collect(pres, word).exponents == _ref_collect(pres, word)
+    assert 2 in sizes
 
 
 def test_memo_is_invisible():

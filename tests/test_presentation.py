@@ -75,6 +75,7 @@ def test_power_relation_for_infinite_generator_rejected():
     "",
     "orders 2\n",
     "pcp x\norders 2\n",
+    "pcp ²\norders 0\n",
     "pcp 1\norders two\n",
     "pcp 1\norders 2\nfrobnicate 1\n",
     "pcp 2\norders 2 2\nconj 2\n",
