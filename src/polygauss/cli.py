@@ -29,7 +29,7 @@ from .igs import (Igs, canonical_igs, igs_by_generators, sift,
                   subgroup_index, subgroup_order, subgroups_equal, verify_igs)
 from .oracle import (DEFAULT_BOUND, EnumerationBoundExceeded, FiniteGroupTable,
                      enumerate_subgroup, hermite_normal_form)
-from .presentation import PcpError, PcPresentation, load_presentation
+from .presentation import PcpError, PcPresentation, _integer, load_presentation
 
 COMMANDS = ("collect", "igs", "order", "index", "member", "equal",
             "canonical", "verify")
@@ -61,8 +61,8 @@ def parse_args(argv: list[str]) -> Request:
             if not args:
                 raise UsageError("--bound needs a value")
             try:
-                bound = int(args.pop(0))
-            except ValueError:
+                bound = _integer(args.pop(0), "--bound")
+            except PcpError:
                 raise UsageError("--bound needs an integer value") from None
             if bound < 1:
                 raise UsageError(f"--bound must be positive, got {bound}")
@@ -177,8 +177,8 @@ def run(request: Request) -> tuple[int, str]:
         raise UsageError(f"unknown command {request.command!r}")
     except (PcpError, UsageError, OSError, ValueError,
             EnumerationBoundExceeded, RecursionError) as exc:
-        # collection recurses at least once per generator, so presentations
-        # with hundreds of generators can exhaust the interpreter's stack
+        # carries and passes add no Python frames, but binary powers and
+        # memo fills of conjugate images still nest on the interpreter's stack
         return 1, f"error: {exc}"
 
 

@@ -10,13 +10,14 @@ to left.  Writing d for the current depth there are three cases:
 
 * d > i: the power merges at position i; out-of-range exponents are
   reduced with the power relation g_i^r_i = tail, whose tail uses only
-  deeper generators and is folded into the list.
+  deeper generators: position i is cleared, the tail's power is pushed
+  into the rest, and the reduced exponent is put back.
 * d = i: same, after adding the exponents at position i.  Only when the
   leading exponent cancels is the depth looked up again.
 * d < i: g_i^x must move right past the leading syllable g_d^f.
   Since conjugation by g_d maps everything beyond depth d to itself,
-  g_i^x g_d^f = g_d^f (g_i^{g_d^f})^x.  The pass clears g_d^f, multiplies
-  the power of the image into the list, and puts g_d^f back.  When g_i
+  g_i^x g_d^f = g_d^f (g_i^{g_d^f})^x.  The pass clears g_d^f, pushes
+  the power of the image into the rest, and puts g_d^f back.  When g_i
   and g_d commute by the presentation the image is g_i itself.
   Otherwise conjugation by g_d^f is the composite of the conjugations by
   g_d^(+-2^t) over the set bits t of abs(f), so the conjugate of g_i
@@ -41,10 +42,9 @@ operands.
 The mutable lists never leave the call that made them; exponent vectors
 of elements, memoised images and tails stay tuples.
 
-Every recursive step operates strictly deeper in the generator sequence,
-which bounds the recursion by the number of generators.  All exponents
-are exact Python integers; nothing here is approximate.  A relative order
-is an int or :data:`INFINITE`, the one value used for an infinite order.
+All exponents are exact Python integers; nothing here is approximate.
+A relative order is an int or :data:`INFINITE`, the one value used for
+an infinite order.
 """
 
 from __future__ import annotations
@@ -161,78 +161,80 @@ def _inverse_word(vec, d: int):
 def _lmul(pres: PcPresentation, vec: list, d: int, word) -> int:
     """Left-multiply the normal form `vec` of depth d by a word, in place.
 
-    `word` yields the word's syllables (i, x) from right to left; each
-    is pushed into vec in turn.  Returns the depth of the product.  vec
-    must be a list private to the caller.
+    `word` is an iterator, not a sequence, over the word's syllables
+    (i, x) from right to left; each is pushed into vec in turn.  Returns
+    the depth of the product.  vec must be a list private to the caller.
+
+    A pass past g_d^f and a power-tail fold at i clear their position,
+    link (word, position, exponent) onto `pending` and go on with the word
+    they push into the rest; when a word runs out, the top frame's exponent
+    is put back and its word resumes.  So carries and passes add no frames.
     """
     orders = pres.orders
-    for i, x in word:
-        if not x:
-            continue
-        if d < i:
-            # g_i^x g_d^f = g_d^f (g_i^(g_d^f))^x, and the product of the
-            # power with the rest lies beyond depth d
-            _pass_leading_syllable(pres, vec, d, i, x)
-            continue
-        y = x + vec[i - 1]
-        r = orders[i - 1]
-        if r:
-            q, y = divmod(y, r)
-            if q and i in pres.powers:
-                # g_i^(qr) is the tail to the q, folded into the rest
-                vec[i - 1] = 0
-                tail = _from_tail(pres, pres.power_tail(i))
-                d = _lmul_scaled(pres, vec, _depth(vec, i + 1) if d == i else d,
-                                 tail, _depth(tail, i + 1), q)
-        vec[i - 1] = y
-        if y:
-            d = i
-        elif d == i:  # the leading exponent cancelled
-            d = _depth(vec, i + 1)
-    return d
+    pending = None
+    while True:
+        for i, x in word:
+            if not x:
+                continue
+            if d < i:
+                # g_i^x g_d^f = g_d^f (g_i^(g_d^f))^x, and the product of the
+                # power with the rest lies beyond depth d
+                f = vec[d - 1]
+                vec[d - 1] = 0
+                pending = (word, d, f, pending)
+                word = _pass_word(pres, i, x, d, f)
+                d = _depth(vec, d + 1)
+                break
+            y = x + vec[i - 1]
+            r = orders[i - 1]
+            if r:
+                q, y = divmod(y, r)
+                if q and i in pres.powers:
+                    # g_i^(qr) is the tail to the q, folded into the rest
+                    vec[i - 1] = 0
+                    d = _depth(vec, i + 1) if d == i else d
+                    pending = (word, i, y, pending)
+                    tail = _from_tail(pres, pres.power_tail(i))
+                    word = _power_word(pres, tail, i + 1, q)
+                    break
+            vec[i - 1] = y
+            if y:
+                d = i
+            elif d == i:  # the leading exponent cancelled
+                d = _depth(vec, i + 1)
+        else:
+            if pending is None:
+                return d
+            word, i, y, pending = pending
+            vec[i - 1] = y
+            if y:
+                d = i
 
 
-def _pass_leading_syllable(pres: PcPresentation, vec: list, d: int, i: int, x: int):
-    """Left-multiply vec, of depth d < i, by g_i^x, moving it past g_d^f.
+def _pass_word(pres: PcPresentation, i: int, x: int, d: int, f: int):
+    """Syllables of (g_i^(g_d^f))^x, right to left, for d < i and f != 0.
 
-    The leading syllable is cleared, the power of g_i's image under
-    conjugation by g_d^f is pushed into the rest, and g_d^f is put back,
-    so the depth stays d.  When g_i and g_d commute the image is g_i
-    itself, and its power still goes by binary powering: pushing g_i^x as
-    one syllable waits on a benchmark whose memory does not grow with
-    throughput (ROADMAP item 1).
+    When g_i and g_d commute the image is g_i itself, and its power still
+    goes by binary powering: pushing g_i^x as one syllable waits on a
+    benchmark whose memory does not grow with throughput (ROADMAP item 1).
     """
-    f = vec[d - 1]
-    vec[d - 1] = 0
-    rest = _depth(vec, d + 1)
     if pres.noncommuting[i - 1] >> (d - 1) & 1:
-        conj = _gen_conj_by_power(pres, i, d, f)
-        _lmul_scaled(pres, vec, rest, conj, _depth(conj, d + 1), x)
-    else:
-        _lmul_power(pres, vec, rest, _unit(pres, i), i, x)
-    vec[d - 1] = f
+        return _power_word(pres, _gen_conj_by_power(pres, i, d, f), d + 1, x)
+    p, dp = _pow(pres, _unit(pres, i), i, x)
+    return _word(p, dp)
 
 
-def _lmul_power(pres: PcPresentation, vec: list, d: int, a, da: int, k: int) -> int:
-    """Left-multiply vec, of depth d, by a^k for a normal form a of depth da.
+def _power_word(pres: PcPresentation, a, start: int, k: int):
+    """Syllables of a^k, right to left, for a normal form a of depth >= start.
 
-    a^k goes by binary powering; see :func:`_lmul_scaled`.
-    """
-    p, dp = _pow(pres, a, da, k)
-    return _lmul(pres, vec, d, _word(p, dp))
-
-
-def _lmul_scaled(pres: PcPresentation, vec: list, d: int, a, da: int, k: int) -> int:
-    """Left-multiply vec, of depth d, by a^k for a normal form a of depth da.
-
-    When the generators in a's support commute pairwise,
-    (g_j1^e1 ... g_jm^em)^k = g_j1^(e1 k) ... g_jm^(em k), power relations
-    included, so the syllables of a are pushed with their exponents
+    When a's support commutes pairwise, (g_j1^e1 ... g_jm^em)^k =
+    g_j1^(e1 k) ... g_jm^(em k), power relations included: a's syllables
     scaled by k.  Otherwise a^k goes by binary powering.
     """
     if _clash(pres, a) & _support(a):
-        return _lmul_power(pres, vec, d, a, da, k)
-    return _lmul(pres, vec, d, ((j, e * k) for j, e in _word(a, da)))
+        p, dp = _pow(pres, a, _depth(a, start), k)
+        return _word(p, dp)
+    return ((j, e * k) for j, e in _word(a, start))
 
 
 def _gen_conj_by_power(pres: PcPresentation, i: int, j: int, f: int) -> Vector:
@@ -293,7 +295,7 @@ def _conj_by_image(pres: PcPresentation, vec: Vector, j: int, sign: int,
     d = n + 1
     for k, e in _word(vec, j + 1):
         image = _image(pres, k, j, sign, t)
-        d = _lmul_scaled(pres, result, d, image, _depth(image, j + 1), e)
+        d = _lmul(pres, result, d, _power_word(pres, image, j + 1, e))
     return tuple(result)
 
 

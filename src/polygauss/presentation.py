@@ -234,18 +234,24 @@ class PcPresentation:
         return f"PcPresentation(n={self.num_gens}, orders={list(self.orders)})"
 
 
+def _integer(text: str, where: str) -> int:
+    """Parse the one integer spelling, ``-`` or nothing then ASCII digits.
+
+    int() alone would also take ``+2``, ``1_0``, `` 1`` and non-ASCII
+    digits such as ``٣``; `where` prefixes errors.
+    """
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise PcpSyntaxError(f"{where}: bad integer {text!r}")
+
+
 def _tail_tokens(tokens, where: str) -> tuple[Syllable, ...]:
     """Parse ``i^e`` tokens (exponent omitted means 1); `where` prefixes errors."""
     tail = []
     for token in tokens:
-        if "^" in token:
-            idx_text, _, exp_text = token.partition("^")
-        else:
-            idx_text, exp_text = token, "1"
-        try:
-            tail.append((int(idx_text), int(exp_text)))
-        except ValueError:
-            raise PcpSyntaxError(f"{where}: bad syllable {token!r}") from None
+        idx_text, caret, exp_text = token.partition("^")
+        tail.append((_integer(idx_text, where),
+                     _integer(exp_text, where) if caret else 1))
     return tuple(tail)
 
 
@@ -273,49 +279,40 @@ def load_presentation(source: str | bytes | IO) -> PcPresentation:
             continue
         tokens = line.split()
         keyword, args = tokens[0], tokens[1:]
+        where = f"line {line_no}"
         if keyword == "pcp":
             if n is not None:
-                raise PcpSyntaxError(f"line {line_no}: duplicate pcp line")
-            # isdigit() also accepts superscripts such as '²', which int() rejects
-            if len(args) != 1 or not args[0].isdecimal():
-                raise PcpSyntaxError(f"line {line_no}: expected 'pcp <n>'")
-            n = int(args[0])
+                raise PcpSyntaxError(f"{where}: duplicate pcp line")
+            if len(args) != 1:
+                raise PcpSyntaxError(f"{where}: expected 'pcp <n>'")
+            n = _integer(args[0], where)
         elif keyword == "orders":
             if n is None:
-                raise PcpSyntaxError(f"line {line_no}: orders before pcp line")
+                raise PcpSyntaxError(f"{where}: orders before pcp line")
             if orders is not None:
-                raise PcpSyntaxError(f"line {line_no}: duplicate orders line")
-            try:
-                orders = tuple(int(a) for a in args)
-            except ValueError:
-                raise PcpSyntaxError(f"line {line_no}: bad order token") from None
+                raise PcpSyntaxError(f"{where}: duplicate orders line")
+            orders = tuple(_integer(a, where) for a in args)
         elif keyword in ("conj", "invconj"):
             if orders is None:
-                raise PcpSyntaxError(f"line {line_no}: {keyword} before orders line")
+                raise PcpSyntaxError(f"{where}: {keyword} before orders line")
             if len(args) < 2:
-                raise PcpSyntaxError(f"line {line_no}: expected '{keyword} <i> <j> ...'")
-            try:
-                i, j = int(args[0]), int(args[1])
-            except ValueError:
-                raise PcpSyntaxError(f"line {line_no}: bad generator index") from None
+                raise PcpSyntaxError(f"{where}: expected '{keyword} <i> <j> ...'")
+            i, j = _integer(args[0], where), _integer(args[1], where)
             table = conjugates if keyword == "conj" else inv_conjugates
             if (i, j) in table:
-                raise PcpSyntaxError(f"line {line_no}: duplicate {keyword} {i} {j}")
-            table[(i, j)] = _tail_tokens(args[2:], f"line {line_no}")
+                raise PcpSyntaxError(f"{where}: duplicate {keyword} {i} {j}")
+            table[(i, j)] = _tail_tokens(args[2:], where)
         elif keyword == "power":
             if orders is None:
-                raise PcpSyntaxError(f"line {line_no}: power before orders line")
+                raise PcpSyntaxError(f"{where}: power before orders line")
             if len(args) < 1:
-                raise PcpSyntaxError(f"line {line_no}: expected 'power <i> ...'")
-            try:
-                i = int(args[0])
-            except ValueError:
-                raise PcpSyntaxError(f"line {line_no}: bad generator index") from None
+                raise PcpSyntaxError(f"{where}: expected 'power <i> ...'")
+            i = _integer(args[0], where)
             if i in powers:
-                raise PcpSyntaxError(f"line {line_no}: duplicate power {i}")
-            powers[i] = _tail_tokens(args[1:], f"line {line_no}")
+                raise PcpSyntaxError(f"{where}: duplicate power {i}")
+            powers[i] = _tail_tokens(args[1:], where)
         else:
-            raise PcpSyntaxError(f"line {line_no}: unknown keyword {keyword!r}")
+            raise PcpSyntaxError(f"{where}: unknown keyword {keyword!r}")
 
     if n is None or orders is None:
         raise PcpSyntaxError("missing pcp or orders line")

@@ -130,8 +130,9 @@ def test_parse_args_shapes():
         cli.parse_args(["order"])
     with pytest.raises(cli.UsageError):
         cli.parse_args(["frobnicate", D8])
-    with pytest.raises(cli.UsageError):
-        cli.parse_args(["--bound", "x", "order", D8])
+    for bad in ("x", "1_0", "+5", "٥", " 5", "5.0"):
+        with pytest.raises(cli.UsageError):
+            cli.parse_args(["--bound", bad, "order", D8])
     for bad in ("-1", "0"):
         with pytest.raises(cli.UsageError, match="positive"):
             cli.parse_args(["--bound", bad, "verify", D8, "g1"])
@@ -146,15 +147,23 @@ def test_parse_args_shapes():
         cli.parse_args(["equal", D8, "g1", "--", "g2", "--", "g3"])
 
 
-def test_deep_recursion_is_an_error(tmp_path, capsys):
-    # Z/2^800 as a carry chain: collecting g1*g2*...*g800 recurses past
-    # Python's default stack limit
+def test_deep_recursion_is_an_error(tmp_path, capsys, monkeypatch):
+    # Z/2^800 as a carry chain: g1^-1 is g1*g2*...*g800, one carry through
+    # all 800 power tails, which collection makes without growing the stack
     n = 800
     path = tmp_path / "chain.pcp"
     path.write_text(f"pcp {n}\norders {' 2' * n}\n"
                     + "".join(f"power {i} {i + 1}^1\n" for i in range(1, n)))
-    word = "*".join(f"g{i}" for i in range(1, n + 1))
-    assert cli.main(["order", str(path), word]) == 1
+    assert cli.main(["collect", str(path), "g1^-1"]) == 0
+    assert capsys.readouterr().out.strip() == "*".join(f"g{i}" for i in range(1, n + 1))
+
+    # memo fills and powers of conjugate images still nest on the Python
+    # stack, so a RecursionError is still an error message, not a traceback
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "igs_by_generators", too_deep)
+    assert cli.main(["order", str(path), "g1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err

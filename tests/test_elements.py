@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import inspect
 import itertools
 import math
 import pickle
@@ -442,15 +443,15 @@ def test_collection_matches_reference(name, monkeypatch):
     # collected by the reference, which stays fast on UT(6, Z).
     pres = _collection_corpus()[name]
     rng = random.Random(sum(map(ord, name)))
-    pass_ = elements._pass_leading_syllable
+    pass_word = elements._pass_word
 
-    def past_leading_syllable(pres, vec, d, i, x):
-        # a stale depth would send g_i past an empty slot d: same product,
-        # wasted work
-        assert vec[d - 1], f"g{i} passes g{d}^0"
-        return pass_(pres, vec, d, i, x)
+    def past_leading_syllable(pres, i, x, d, f):
+        # every pass, commuting or not, reads f = vec[d - 1]; a stale depth
+        # would send g_i past an empty slot d: same product, wasted work
+        assert f, f"g{i} passes g{d}^0"
+        return pass_word(pres, i, x, d, f)
 
-    monkeypatch.setattr(elements, "_pass_leading_syllable", past_leading_syllable)
+    monkeypatch.setattr(elements, "_pass_word", past_leading_syllable)
 
     def operand():
         word = helpers.random_word(pres, rng, length=3, spread=2)
@@ -470,6 +471,22 @@ def test_collection_matches_reference(name, monkeypatch):
         assert x.conjugate(y).exponents == _ref_mul(pres, ref_inv_b, ref_ab), (a, b)
         assert x.commutator(y).exponents == _ref_mul(
             pres, ref_inv_a, _ref_mul(pres, ref_inv_b, ref_ab)), (a, b)
+
+
+def test_collection_stack_depth_is_bounded():
+    # carries and passes inside one collection add no Python frames: a
+    # carry through all 800 power tails of Z/2^800, and the closure of the
+    # all-ones element of Z/2^48, whose powers carry and pass throughout,
+    # run with 30 frames to spare
+    chain800, chain48 = helpers.carry_chain(800), helpers.carry_chain(48)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        assert pg.collect(chain800, [(1, -1)]).exponents == (1,) * 800
+        seq = pg.igs_by_generators(chain48, [pg.Element(chain48, (1,) * 48)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert pg.subgroup_order(seq) == 2 ** 48
 
 
 def test_collection_never_writes_into_shared_vectors():

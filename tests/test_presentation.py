@@ -88,6 +88,18 @@ def test_power_relation_for_infinite_generator_rejected():
     "pcp 1\norders 2\npower\n",
     "pcp 1\norders 2\npower x\n",
     "pcp 2\norders 2 2\nconj x 1\n",
+    # one integer spelling: an optional '-' and ASCII digits
+    "pcp 2\norders 1_0 +2\n",
+    "pcp ٣\norders 2 2 2\n",
+    "pcp +1\norders 2\n",
+    "pcp 1\norders ２\n",
+    "pcp 2\norders 2 2\nconj 2 1_0 2^1\n",
+    "pcp 2\norders 2 2\nconj ٢ 1 2^1\n",
+    "pcp 2\norders 4 2\npower +1 2^1\n",
+    "pcp 3\norders 2 2 2\npower 1 2^1 3^+1\n",
+    "pcp 2\norders 0 0\nconj 2 1 2^+1\n",
+    "pcp 2\norders 0 0\nconj 2 1 2^--1\n",
+    "pcp 2\norders 0 0\nconj 2 1 2^-\n",
 ])
 def test_malformed_text_rejected(text):
     with pytest.raises(pg.PcpSyntaxError):
@@ -300,7 +312,9 @@ def test_word_parsing():
     assert pg.parse_word("1") == tuple([])
     assert pg.format_word(pg.parse_word("g1^2*g3^-1")) == "g1^2*g3^-1"
     assert pg.format_word(tuple([])) == "1"
-    for bad in ("h1", "g", "g1^", "g1**g2", "g1^2 g3"):
+    assert pg.parse_word("g12^-30") == ((12, -30),)
+    for bad in ("h1", "g", "g1^", "g1**g2", "g1^2 g3",
+                "g1^1_0", "g١^+3", "g 1", "g1^+3", "g+1", "g1^٣", "g1^ 2", "g1^-"):
         with pytest.raises(pg.PcpSyntaxError):
             pg.parse_word(bad)
 
