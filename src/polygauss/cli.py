@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .elements import INFINITE, collect
 from .igs import (Igs, canonical_igs, igs_by_generators, sift,
@@ -39,11 +39,10 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class Request:
+class Request(NamedTuple):
     command: str
     path: str
-    words: list[str] = field(default_factory=list)
+    words: list[str]
     words_after: list[str] | None = None  # tokens after the `--` separator
     machine: bool = False
     bound: int = DEFAULT_BOUND

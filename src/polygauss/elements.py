@@ -38,7 +38,8 @@ needs no collection of its own, since the inverse of s_1 ... s_m is the
 word s_m^-1 ... s_1^-1, pushed into the identity or, for conjugates and
 commutators, straight into a * b.
 Element powers go by binary powering and carry the depths of their
-operands.
+operands.  Every element made by an operation keeps the depth that
+collection returned, so the next operation on it starts without a scan.
 The mutable lists never leave the call that made them; exponent vectors
 of elements, memoised images and tails stay tuples.
 
@@ -299,11 +300,11 @@ def _conj_by_image(pres: PcPresentation, vec: Vector, j: int, sign: int,
     return tuple(result)
 
 
-def _collected(pres: PcPresentation, word, b: Vector) -> Vector:
-    """Normal form of the word times the normal form b; see :func:`_lmul`."""
+def _collected(pres: PcPresentation, word, b: Vector, db: int):
+    """The word times the normal form b of depth db, and its depth; see :func:`_lmul`."""
     vec = list(b)
-    _lmul(pres, vec, _depth(b), word)
-    return tuple(vec)
+    d = _lmul(pres, vec, db, word)
+    return tuple(vec), d
 
 
 def _pow(pres: PcPresentation, a, da: int, k: int):
@@ -339,10 +340,12 @@ class Element:
 
     Immutable value object; all arithmetic returns fresh elements and
     raises :class:`PresentationMismatch` when operands belong to
-    different presentations.
+    different presentations.  An element made by arithmetic keeps the
+    depth that collection returned; one made by the constructor finds its
+    depth on first use.
     """
 
-    __slots__ = ("presentation", "exponents")
+    __slots__ = ("presentation", "exponents", "_depth")
 
     def __init__(self, presentation: PcPresentation, exponents: Iterable[int]):
         exps = tuple(map(operator.index, exponents))
@@ -357,10 +360,12 @@ class Element:
         object.__setattr__(self, "exponents", exps)
 
     @classmethod
-    def _wrap(cls, pres: PcPresentation, vec: Vector) -> Element:
+    def _wrap(cls, pres: PcPresentation, vec: Vector, d: int) -> Element:
+        """Trusted: vec is a normal form of depth d."""
         self = object.__new__(cls)
         object.__setattr__(self, "presentation", pres)
         object.__setattr__(self, "exponents", vec)
+        object.__setattr__(self, "_depth", d)
         return self
 
     def __setattr__(self, name, value):
@@ -373,10 +378,15 @@ class Element:
 
     @property
     def is_identity(self) -> bool:
-        return not any(self.exponents)
+        return self.depth() > len(self.exponents)
 
     def depth(self) -> int:
-        return _depth(self.exponents)
+        try:
+            return self._depth
+        except AttributeError:  # made by the constructor, which stays lazy
+            d = _depth(self.exponents)
+            object.__setattr__(self, "_depth", d)
+            return d
 
     def leading_exponent(self) -> int | None:
         d = self.depth()
@@ -395,34 +405,37 @@ class Element:
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: Element) -> Element:
-        check_binding(self.presentation, other)
-        word = _word(self.exponents, 1)
-        return Element._wrap(self.presentation,
-                             _collected(self.presentation, word, other.exponents))
+        pres = self.presentation
+        check_binding(pres, other)
+        word = _word(self.exponents, self.depth())
+        return Element._wrap(pres, *_collected(pres, word, other.exponents, other.depth()))
 
     def inverse(self) -> Element:
         pres = self.presentation
-        word = _inverse_word(self.exponents, 1)
-        return Element._wrap(pres, _collected(pres, word, (0,) * pres.num_gens))
+        n = pres.num_gens
+        word = _inverse_word(self.exponents, self.depth())
+        return Element._wrap(pres, *_collected(pres, word, (0,) * n, n + 1))
 
     def __pow__(self, k: int) -> Element:
         k = operator.index(k)
-        vec, _ = _pow(self.presentation, self.exponents, self.depth(), k)
-        return Element._wrap(self.presentation, tuple(vec))
+        vec, d = _pow(self.presentation, self.exponents, self.depth(), k)
+        return Element._wrap(self.presentation, tuple(vec), d)
 
     def conjugate(self, other: Element) -> Element:
         """self conjugated by other: other^-1 * self * other."""
-        check_binding(self.presentation, other)
-        a, b = self.exponents, other.exponents
-        word = chain(_word(a, 1), _inverse_word(b, 1))
-        return Element._wrap(self.presentation, _collected(self.presentation, word, b))
+        pres = self.presentation
+        check_binding(pres, other)
+        a, b, db = self.exponents, other.exponents, other.depth()
+        word = chain(_word(a, self.depth()), _inverse_word(b, db))
+        return Element._wrap(pres, *_collected(pres, word, b, db))
 
     def commutator(self, other: Element) -> Element:
         """self^-1 * other^-1 * self * other."""
-        check_binding(self.presentation, other)
-        a, b = self.exponents, other.exponents
-        word = chain(_word(a, 1), _inverse_word(b, 1), _inverse_word(a, 1))
-        return Element._wrap(self.presentation, _collected(self.presentation, word, b))
+        pres = self.presentation
+        check_binding(pres, other)
+        a, da, b, db = self.exponents, self.depth(), other.exponents, other.depth()
+        word = chain(_word(a, da), _inverse_word(b, db), _inverse_word(a, da))
+        return Element._wrap(pres, *_collected(pres, word, b, db))
 
     def normalised(self) -> Element:
         """The canonical power generating the same cyclic image at this depth.
@@ -434,6 +447,7 @@ class Element:
         exponent y is invertible modulo r/x and the power z = y^-1 mod
         (r/x) satisfies l*z = x + k*r.  (Inverting modulo r itself does
         not work: l = 4, r = 6 gives y = 2, which has no inverse mod 6.)
+        An element that is already normalised is returned as it is.
         """
         d = self.depth()
         n = len(self.exponents)
@@ -444,8 +458,9 @@ class Element:
         if r == 0:
             return self if lead > 0 else self.inverse()
         x = math.gcd(lead, r)
-        z = pow(lead // x, -1, r // x)
-        return self ** z
+        if lead == x:
+            return self
+        return self ** pow(lead // x, -1, r // x)
 
     # -- value semantics ---------------------------------------------------
 
@@ -469,13 +484,13 @@ class Element:
 # -- module-level constructors ------------------------------------------------
 
 def identity(pres: PcPresentation) -> Element:
-    return Element._wrap(pres, (0,) * pres.num_gens)
+    return Element._wrap(pres, (0,) * pres.num_gens, pres.num_gens + 1)
 
 
 def generator(pres: PcPresentation, i: int) -> Element:
     if not 1 <= i <= pres.num_gens:
         raise ValueError(f"generator index {i} out of range 1..{pres.num_gens}")
-    return Element._wrap(pres, _unit(pres, i))
+    return Element._wrap(pres, _unit(pres, i), i)
 
 
 def generators(pres: PcPresentation) -> list[Element]:
@@ -491,5 +506,6 @@ def collect(pres: PcPresentation, word: str | Iterable[Syllable]) -> Element:
         if not 1 <= operator.index(i) <= pres.num_gens:
             raise ValueError(f"word uses generator index {i}, valid range is "
                              f"1..{pres.num_gens}")
-    return Element._wrap(pres, _collected(pres, reversed(entries), (0,) * pres.num_gens))
+    n = pres.num_gens
+    return Element._wrap(pres, *_collected(pres, reversed(entries), (0,) * n, n + 1))
 

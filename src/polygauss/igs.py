@@ -15,7 +15,9 @@ Every quotient in this module is one division step, as in integer row
 reduction: x * u^(-q), where u is an entry of depth d and q is x's
 exponent at d divided by u's leading exponent, rounded down.  Elimination
 uses it for the residues it feeds back, :func:`sift` for membership and
-reduction for the entries themselves.
+reduction for the entries themselves.  When u has finite relative order
+r and u^r = 1 by the presentation, the step takes u^(r - q) in place of
+u^(-q) when r - q <= q, so it needs no inversion by collection.
 
 Entries are kept small by reducing them during elimination, as Kannan and
 Bachem do for the Hermite normal form: at each deeper occupied depth e of
@@ -30,12 +32,17 @@ back relative-order powers and the commutators of every changed slot
 with the other slots.  A pair is skipped when every generator in the
 support of one entry commutes, by the presentation, with every generator
 in the support of the other: its commutator is then exactly the
-identity, which would not be fed back anyway.  After closure the
+identity, which would not be fed back anyway.  A power u^r is skipped
+when the presentation alone shows u^r = 1 (:func:`_power_is_trivial`):
+u's support commutes pairwise, so u^r is u with its exponents times r,
+and every generator in it has a finite relative order dividing its
+exponent times r and no power tail.  After closure the
 occupied slots form an igs: depths strictly increase, each
 power u^r(u) with finite relative order sifts to the identity through
 the later entries, and so does each conjugate u_i^{u_j} (j < i).  These
 closure conditions are decidable by :func:`verify_igs`, which skips the
-conjugates of pairs that commute by the same test, and make membership
+conjugates of pairs that commute by the same test and the powers that
+are 1 by the presentation, and make membership
 testing by depth-wise division (:func:`sift`) exact.
 
 One reduction pass ends both :func:`igs_by_generators` and
@@ -51,6 +58,7 @@ ints or INFINITE.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterable, NamedTuple
 
@@ -101,6 +109,14 @@ class Igs:
             prev = d
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "gens", gens)
+
+    @classmethod
+    def _wrap(cls, pres: PcPresentation, gens: tuple) -> Igs:
+        """Trusted: gens are normalised elements of pres in strictly increasing depth."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "presentation", pres)
+        object.__setattr__(self, "gens", gens)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Igs is immutable")
@@ -190,7 +206,7 @@ def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
 
     changes = {d: slots[d - 1] for d in range(1, n + 1)
                if slots[d - 1] != before[d - 1]}
-    return Igs(pres, [u for u in slots if u is not None]), changes
+    return Igs._wrap(pres, tuple(u for u in slots if u is not None)), changes
 
 
 def _slot_table(pres: PcPresentation, gens: Iterable[Element]) -> list:
@@ -201,14 +217,46 @@ def _slot_table(pres: PcPresentation, gens: Iterable[Element]) -> list:
     return slots
 
 
+def _power_is_trivial(pres: PcPresentation, vec, k: int) -> bool:
+    """Whether u^k = 1 by the presentation alone, for the normal form vec of u.
+
+    True when the generators in u's support commute pairwise, so that
+    u^k is u with its exponents times k, and each syllable g_j^e of u has
+    r_j > 0 dividing k * e and no power tail, so that g_j^(k e) = 1.
+    """
+    orders, powers = pres.orders, pres.powers
+    support = clash = 0
+    for idx, e in enumerate(vec):
+        if e:
+            r = orders[idx]
+            if not r or k * e % r or idx + 1 in powers:
+                return False
+            support |= 1 << idx
+            clash |= pres.noncommuting[idx]
+    return not clash & support
+
+
 def _divided(x: Element, u: Element, d: int) -> Element:
     """The division step at depth d = depth(u): x * u^(-q), q the floor quotient.
 
     q is x's exponent at d divided by u's leading exponent, rounded down;
-    x itself is returned when q = 0.
+    x itself is returned when q = 0.  When u has finite relative order
+    rel and u^rel = 1 by the presentation, u^(-q) = u^(rel - q), and the
+    positive power is used when it is no larger: no inversion by
+    collection, and for rel = 2 the power is u itself.
     """
-    q = x.exponents[d - 1] // u.exponents[d - 1]
-    return x * u ** (-q) if q else x
+    lead = u.exponents[d - 1]
+    q = x.exponents[d - 1] // lead
+    if not q:
+        return x
+    pres = u.presentation
+    r = pres.orders[d - 1]
+    if r:
+        rel = r // math.gcd(lead, r)
+        k = -q % rel
+        if k <= q and _power_is_trivial(pres, u.exponents, rel):
+            return x * u ** k
+    return x * u ** (-q)
 
 
 def _reduced(u: Element, d: int, slots: list, finite: bool = False) -> Element:
@@ -239,7 +287,7 @@ def _reduction_pass(seq: Igs, finite: bool) -> Igs:
         u = slots[d - 1]
         if u is not None:
             slots[d - 1] = _reduced(u, d, slots, finite)
-    return Igs(seq.presentation, [u for u in slots if u is not None])
+    return Igs._wrap(seq.presentation, tuple(u for u in slots if u is not None))
 
 
 def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
@@ -257,7 +305,7 @@ def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
         for d in sorted(changes):
             u = changes[d]
             rel = u.relative_order()
-            if rel is not INFINITE:
+            if rel is not INFINITE and not _power_is_trivial(pres, u.exponents, rel):
                 p = u ** rel
                 if not p.is_identity:
                     queue.append(p)
@@ -322,7 +370,8 @@ def verify_igs(candidate: Iterable[Element]) -> bool:
     slots = _slot_table(pres, elems)
     for u in elems:
         rel = u.relative_order()
-        if rel is not INFINITE:
+        # a power that is 1 by the presentation sifts at once
+        if rel is not INFINITE and not _power_is_trivial(pres, u.exponents, rel):
             if not _sift_through(slots, u ** rel).membership:
                 return False
     clashes = [_clash(pres, u.exponents) for u in elems]

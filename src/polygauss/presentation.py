@@ -135,10 +135,7 @@ class PcPresentation:
             masks[i - 1] |= 1 << (j - 1)
             masks[j - 1] |= 1 << (i - 1)
         self.noncommuting = tuple(masks)
-        self._hash = hash((self.num_gens, self.orders,
-                           tuple(sorted(self.conjugates.items())),
-                           tuple(sorted(self.inv_conjugates.items())),
-                           tuple(sorted(self.powers.items()))))
+        self._hash = None  # computed on first use
         self._memo = {}
 
     def _validate(self):
@@ -224,6 +221,11 @@ class PcPresentation:
                 and self.powers == other.powers)
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.num_gens, self.orders,
+                               tuple(sorted(self.conjugates.items())),
+                               tuple(sorted(self.inv_conjugates.items())),
+                               tuple(sorted(self.powers.items()))))
         return self._hash
 
     def __reduce__(self):

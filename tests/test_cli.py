@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import helpers
@@ -177,3 +182,15 @@ def test_main_exit_codes(capsys):
     assert cli.main(["--help"]) == 0
     assert "polygauss" in capsys.readouterr().out
     assert cli.main(["nope"]) == 1
+
+
+def test_import_skips_dataclasses():
+    # every polygauss process imports the CLI; dataclasses would pull in
+    # inspect, ast, dis and tokenize, about a third of its import time
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, polygauss.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -195,6 +195,7 @@ def test_normalise_contract_random(corpus):
             d = a.depth()
             assert h.depth() == d
             assert a.leading_exponent() % h.leading_exponent() == 0
+            assert h.normalised() is h  # a normalised element is returned as it is
             r = pres.orders[d - 1]
             if r > 0:
                 assert h.leading_exponent() == math.gcd(a.leading_exponent(), r)
@@ -459,17 +460,24 @@ def test_collection_matches_reference(name, monkeypatch):
 
     for _ in range(25):
         word = helpers.random_word(pres, rng, length=4, spread=2)
-        assert pg.collect(pres, word).exponents == _ref_collect(pres, word), word
+        collected = pg.collect(pres, word)
+        assert collected.exponents == _ref_collect(pres, word), word
         x, y = operand(), operand()
         a, b = x.exponents, y.exponents
         k = rng.choice([-1, 1]) * rng.randint(2, 5)
         ref_ab = _ref_mul(pres, a, b)
         ref_inv_a, ref_inv_b = _ref_pow(pres, a, -1), _ref_pow(pres, b, -1)
-        assert (x * y).exponents == ref_ab, (a, b)
-        assert x.inverse().exponents == ref_inv_a, a
-        assert (x ** k).exponents == _ref_pow(pres, a, k), (a, k)
-        assert x.conjugate(y).exponents == _ref_mul(pres, ref_inv_b, ref_ab), (a, b)
-        assert x.commutator(y).exponents == _ref_mul(
+        results = [collected, x * y, x.inverse(), x ** k, x.conjugate(y),
+                   x.commutator(y)]
+        # each result keeps the depth collection returned, unscanned
+        assert [u._depth for u in results] == \
+            [elements._depth(u.exponents) for u in results]
+        product, inverse, power, conjugate, commutator = results[1:]
+        assert product.exponents == ref_ab, (a, b)
+        assert inverse.exponents == ref_inv_a, a
+        assert power.exponents == _ref_pow(pres, a, k), (a, k)
+        assert conjugate.exponents == _ref_mul(pres, ref_inv_b, ref_ab), (a, b)
+        assert commutator.exponents == _ref_mul(
             pres, ref_inv_a, _ref_mul(pres, ref_inv_b, ref_ab)), (a, b)
 
 

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import pickle
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import helpers
 import polygauss as pg
 from polygauss import INFINITE
-from polygauss.igs import _xgcd
+from polygauss.igs import _divided, _power_is_trivial, _xgcd
 
 
 def _subgroup_igs(pres, gens):
@@ -89,7 +90,12 @@ def test_verify_igs_accepts_outputs(corpus):
     for pres in corpus.values():
         for _ in range(10):
             gens = [helpers.random_element(pres, rng) for _ in range(2)]
-            assert pg.verify_igs(list(_subgroup_igs(pres, gens).gens))
+            seq = _subgroup_igs(pres, gens)
+            assert pg.verify_igs(list(seq.gens))
+            # elimination builds its Igs unchecked: the checked
+            # constructor accepts it, and its entries are normalised
+            assert pg.Igs(pres, seq.gens) == seq
+            assert all(u.normalised() is u for u in seq)
 
 
 def test_verify_igs_examples(d8):
@@ -456,6 +462,82 @@ def test_closure_commutator_calls(monkeypatch):
     assert made == 0 and pg.subgroup_order(seq) == 8
 
 
+def _commuting_element(pres, rng):
+    """A random element whose support commutes pairwise by the presentation."""
+    support = []
+    for i in rng.sample(range(1, pres.num_gens + 1), pres.num_gens):
+        if all(pres.commutes(i, j) for j in support):
+            support.append(i)
+    exps = [0] * pres.num_gens
+    for i in support[:rng.randint(1, len(support))]:
+        r = pres.orders[i - 1]
+        exps[i - 1] = rng.randrange(1, r) if r else rng.randint(-3, 3)
+    return pg.Element(pres, exps)
+
+
+def test_power_is_trivial_is_sound():
+    # whenever the presentation alone decides u^k = 1, u^k is the identity.
+    # The carry chain, d8 and q8 have power tails (g1^2 = g2 in the chain);
+    # s4 and the UT groups have non-commuting supports whose powers are not 1
+    groups = {path.stem: helpers.load_data(path.name)
+              for path in sorted(helpers.DATA.glob("*.pcp"))}
+    groups.update({"ut4_mod2": helpers.unitriangular(4, 2),
+                   "ut4_mod3": helpers.unitriangular(4, 3),
+                   "ut5_mod3": helpers.unitriangular(5, 3),
+                   "ut6_mod2": helpers.unitriangular(6, 2),
+                   "carry_chain_8": helpers.carry_chain(8)})
+    rng = random.Random(181)
+    trivial = 0
+    for name, pres in groups.items():
+        top = 2 * max(pres.orders + (2,))
+        elems = [pg.generator(pres, i) for i in range(1, pres.num_gens + 1)]
+        elems += [helpers.random_element(pres, rng, spread=3) for _ in range(40)]
+        elems += [_commuting_element(pres, rng) for _ in range(40)]
+        for u in elems:
+            rel = u.relative_order()
+            ks = set(rng.sample(range(1, top + 1), 4))
+            if rel not in (None, INFINITE):
+                ks |= {rel, 2 * rel}
+            for k in sorted(ks):
+                if _power_is_trivial(pres, u.exponents, k):
+                    trivial += 1
+                    assert (u ** k).is_identity, (name, u, k)
+    assert trivial > 500
+    chain = helpers.carry_chain(8)
+    assert not _power_is_trivial(chain, pg.generator(chain, 1).exponents, 2)
+    assert _power_is_trivial(chain, pg.generator(chain, 8).exponents, 2)
+
+
+def test_division_by_trivial_power_needs_no_inversion(monkeypatch):
+    # UT(6, Z/2) has no power tails, so an entry whose support commutes
+    # pairwise has u^2 = 1; dividing by it takes u^1, not u^-1, and no
+    # negative exponent reaches the powering for it
+    pres = helpers.unitriangular(6, 2)
+    assert not pres.powers and set(pres.orders) == {2}
+    original = pg.Element.__pow__
+    seen = {"inverted": [], "positive": 0}
+
+    def counted(self, k):
+        if sys._getframe(1).f_code is _divided.__code__:
+            support = [i for i, e in enumerate(self.exponents, 1) if e]
+            if all(pres.commutes(i, j) for i in support for j in support):
+                if k < 0:
+                    seen["inverted"].append((str(self), k))
+                else:
+                    seen["positive"] += 1
+        return original(self, k)
+
+    monkeypatch.setattr(pg.Element, "__pow__", counted)
+    rng = random.Random(191)
+    for _ in range(40):
+        gens = [helpers.random_element(pres, rng) for _ in range(rng.randint(1, 3))]
+        seq = pg.igs_by_generators(pres, gens)
+        pg.canonical_igs(seq)
+        pg.sift(seq, helpers.random_element(pres, rng))
+    assert seen["inverted"] == []
+    assert seen["positive"] > 100
+
+
 def test_free_abelian_igs_is_hermite_normal_form():
     # sparse generators made the unreduced entries swell to hundreds of
     # bits; reduced during elimination they are the HNF rows themselves
@@ -619,6 +701,7 @@ def test_igs_helpers_match_sliced_and_shallowest_first_references():
                     for _ in range(rng.randint(1, 3))]
             seq = pg.igs_by_generators(pres, gens)
             digest.update(repr([u.exponents for u in seq]).encode())
+            assert pg.Igs(pres, seq.gens) == seq
             assert pg.canonical_igs(seq) == _shallowest_first_canonical(seq)
             assert pg.verify_igs(list(seq)) and _sliced_verify_igs(list(seq))
             partial = pg.Igs(pres, ())
