@@ -20,12 +20,11 @@ r and u^r = 1 by the presentation, the step takes u^(r - q) in place of
 u^(-q) when r - q <= q, so it needs no inversion by collection.
 
 Entries are kept small by reducing them during elimination, as Kannan and
-Bachem do for the Hermite normal form: at each deeper occupied depth e of
-infinite relative order, an entry's exponent is brought into [0, lead_e)
-by a division step by the entry at e.  Each new or merged slot entry is
-reduced before it is placed.  After the sweep, entries it left untouched
-are reduced again where the closure has no work for them.  Finite depths
-are not reduced here, so for a finite group elimination is unchanged.
+Bachem do for the Hermite normal form: at each deeper occupied depth e,
+an entry's exponent is brought into [0, lead_e) by a division step by the
+entry at e.  Each new or merged slot entry is reduced before it is placed.
+After the sweep, entries it left untouched are reduced again where the
+closure has no work for them.
 
 :func:`igs_by_generators` drives this to closure, additionally feeding
 back relative-order powers and the commutators of every changed slot
@@ -45,15 +44,14 @@ conjugates of pairs that commute by the same test and the powers that
 are 1 by the presentation, and make membership
 testing by depth-wise division (:func:`sift`) exact.
 
-One reduction pass ends both :func:`igs_by_generators` and
-:func:`canonical_igs`: deepest entry first, each entry is reduced against
-the deeper entries, which are already reduced.  The first reduces at the
-infinite depths only, so the igs it returns is reduced there; in Z^n it
-is the Hermite normal form.  The second reduces at every depth, finite
-ones included, exactly as in the Hermite normal form of an integer
-matrix; on an igs the result is unique per subgroup, which decides
-equality.  Subgroup order and index read off directly from an igs as
-ints or INFINITE.
+:func:`igs_by_generators` ends with :func:`canonical_igs`: deepest
+entry first, each entry is reduced against the deeper entries, which are
+already reduced, exactly as in the Hermite normal form of an integer
+matrix.  On an igs the result is unique per subgroup, so the igs it
+returns decides equality; in Z^n it is the Hermite normal form.  A
+partial igs, such as one :func:`add_gen_to_pigs` returns, is brought to
+the same form by :func:`canonical_igs`.  Subgroup order and index read
+off directly from an igs as ints or INFINITE.
 """
 
 from __future__ import annotations
@@ -144,7 +142,7 @@ class Igs:
 def add_gen_to_pigs(pigs: Igs, gen: Element) -> tuple[Igs, dict[int, Element]]:
     """Absorb one element: returns a partial igs generating <pigs, gen>.
 
-    New and merged entries are reduced at the deeper infinite depths, and
+    New and merged entries are reduced at every deeper occupied depth, and
     so are untouched entries of infinite relative order whose support
     commutes with every generator.  The second component maps each depth
     whose entry changed to its new entry; it is empty exactly when the
@@ -259,41 +257,25 @@ def _divided(x: Element, u: Element, d: int) -> Element:
     return x * u ** (-q)
 
 
-def _reduced(u: Element, d: int, slots: list, finite: bool = False) -> Element:
+def _reduced(u: Element, d: int, slots: list) -> Element:
     """u, of depth d, divided by each deeper slot entry in increasing depth.
 
-    Only the depths of infinite relative order are divided at, unless
-    `finite`.  At each such depth e with an entry v, the exponent of the
-    result lies in [0, lead(v)).  Multiplying by a power of v leaves the
-    exponents above depth e alone, so one pass reduces them all.
+    At each depth e with an entry v, the exponent of the result lies in
+    [0, lead(v)).  Multiplying by a power of v leaves the exponents above
+    depth e alone, so one pass reduces them all.
     """
-    orders = u.presentation.orders
     for e in range(d + 1, len(slots) + 1):
         v = slots[e - 1]
-        if v is not None and (finite or not orders[e - 1]):
+        if v is not None:
             u = _divided(u, v, e)
     return u
 
 
-def _reduction_pass(seq: Igs, finite: bool) -> Igs:
-    """Reduce every entry, deepest first, against deeper entries already reduced.
-
-    Replacing an entry by its product with an element of the subgroup the
-    later entries generate keeps depths, leading exponents and every
-    closure condition: on an igs the result is an igs of the same subgroup.
-    """
-    slots = _slot_table(seq.presentation, seq.gens)
-    for d in range(len(slots), 0, -1):
-        u = slots[d - 1]
-        if u is not None:
-            slots[d - 1] = _reduced(u, d, slots, finite)
-    return Igs._wrap(seq.presentation, tuple(u for u in slots if u is not None))
-
-
 def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
-    """Compute an igs of the subgroup generated by the given elements.
+    """Compute the canonical igs of the subgroup generated by the given elements.
 
-    Its entries are reduced at every depth of infinite relative order.
+    Every entry is reduced above each deeper leading exponent, so the
+    result is unique per subgroup.
     """
     gens = list(gens)
     check_binding(pres, *gens)
@@ -317,7 +299,7 @@ def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
                     c = u.commutator(h)
                     if not c.is_identity:
                         queue.append(c)
-    return _reduction_pass(seq, finite=False)
+    return canonical_igs(seq)
 
 
 class SiftResult(NamedTuple):
@@ -409,13 +391,23 @@ def subgroup_index(pres: PcPresentation, seq: Igs):
 
 
 def canonical_igs(seq: Igs) -> Igs:
-    """Reduce every entry above each later leading exponent, finite depths too.
+    """Reduce every entry, deepest first, against deeper entries already reduced.
 
-    On an igs the result is unique per subgroup.  On a partial igs that
+    Each entry's exponent at every deeper occupied depth is brought into
+    [0, lead) of the entry there, exactly as in the Hermite normal form of
+    an integer matrix.  Replacing an entry by its product with an element
+    of the subgroup the later entries generate keeps depths, leading
+    exponents and every closure condition: on an igs the result is an igs
+    of the same subgroup, unique per subgroup.  On a partial igs that
     fails :func:`verify_igs` it is still a partial igs of the same
     subgroup, but which one depends on the order of reduction.
     """
-    return _reduction_pass(seq, finite=True)
+    slots = _slot_table(seq.presentation, seq.gens)
+    for d in range(len(slots), 0, -1):
+        u = slots[d - 1]
+        if u is not None:
+            slots[d - 1] = _reduced(u, d, slots)
+    return Igs._wrap(seq.presentation, tuple(u for u in slots if u is not None))
 
 
 def subgroups_equal(u_gens: Iterable[Element], v_gens: Iterable[Element]) -> bool:
@@ -426,6 +418,4 @@ def subgroups_equal(u_gens: Iterable[Element], v_gens: Iterable[Element]) -> boo
         return True
     pres = everyone[0].presentation
     check_binding(pres, *everyone)
-    first = canonical_igs(igs_by_generators(pres, u_gens))
-    second = canonical_igs(igs_by_generators(pres, v_gens))
-    return [u.exponents for u in first.gens] == [v.exponents for v in second.gens]
+    return igs_by_generators(pres, u_gens) == igs_by_generators(pres, v_gens)

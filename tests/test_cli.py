@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+import polygauss as pg
 import polygauss.cli as cli
 
 D8 = str(helpers.DATA / "d8.pcp")
@@ -76,6 +78,26 @@ def test_canonical_golden():
     assert text == "1 2 infinity g1^2*g2^2\n2 3 infinity g2^3"
 
 
+def test_canonical_is_igs():
+    # the igs is reduced at every depth, the finite ones included
+    printed = run_cli("igs", D8, "g3", "g2*g3")
+    assert run_cli("canonical", D8, "g3", "g2*g3") == printed
+    assert printed[1].splitlines()[1:] == [
+        "  depth 2  lead 1  relorder 2  g2",
+        "  depth 3  lead 1  relorder 2  g3",
+    ]
+    rng = random.Random(149)
+    for name in ("s4", "g27", "q8"):
+        path = str(helpers.DATA / f"{name}.pcp")
+        pres = helpers.load_data(f"{name}.pcp")
+        for _ in range(10):
+            words = ["*".join(f"g{i}^{e}" for i, e in helpers.random_word(pres, rng)) or "1"
+                     for _ in range(2)]
+            for flags in ((), ("--machine",)):
+                assert run_cli(*flags, "igs", path, *words) == \
+                    run_cli(*flags, "canonical", path, *words)
+
+
 def test_verify_pass_finite_and_free_abelian():
     assert run_cli("verify", D8, "g2", "g1") == (0, "PASS")
     assert run_cli("verify", Z2, "g1^2*g2", "g2^3") == (0, "PASS")
@@ -104,6 +126,48 @@ def test_verify_detects_mismatch(monkeypatch):
     code, text = run_cli("verify", D8, "g2")
     assert code == 2
     assert text.startswith("FAIL")
+
+
+def _lying_igs(monkeypatch, entries):
+    """Make the CLI's igs_by_generators return Igs(pres, entries(pres))."""
+    monkeypatch.setattr(cli, "igs_by_generators",
+                        lambda pres, gens: pg.Igs(pres, entries(pres)))
+
+
+def _problems(text):
+    assert text.startswith("FAIL: ")
+    return text[len("FAIL: "):].split("; ")
+
+
+def test_verify_reports_a_wrong_free_abelian_igs(monkeypatch):
+    # the igs of the proper sublattice <g1^2, g2> for the whole of Z^2
+    _lying_igs(monkeypatch, lambda z2: [pg.Element(z2, (2, 0)), pg.Element(z2, (0, 1))])
+    code, text = run_cli("verify", Z2, "g1", "g2")
+    assert code == 2
+    assert _problems(text) == ["igs differs from the Hermite normal form",
+                               "index differs from the Hermite pivot product"]
+    # the right lattice, but not reduced above the leading exponent 2
+    _lying_igs(monkeypatch, lambda z2: [pg.Element(z2, (1, 5)), pg.Element(z2, (0, 2))])
+    code, text = run_cli("verify", Z2, "g1*g2^5", "g2^2")
+    assert code == 2
+    assert _problems(text) == ["igs is not reduced to canonical form",
+                               "igs differs from the Hermite normal form"]
+
+
+def test_verify_reports_a_wrong_finite_igs(monkeypatch):
+    # the igs of <g2> = {1, g2, g3, g2*g3} for the whole of D8
+    _lying_igs(monkeypatch, lambda d8: [pg.generator(d8, 2), pg.generator(d8, 3)])
+    code, text = run_cli("verify", D8, "g1", "g2")
+    assert code == 2
+    assert _problems(text) == ["sift membership disagrees with enumeration",
+                               "subgroup order disagrees with enumeration"]
+    # g1 and g2 without g3 = [g2, g1]: not closed under conjugation
+    _lying_igs(monkeypatch, lambda d8: [pg.generator(d8, 1), pg.generator(d8, 2)])
+    code, text = run_cli("verify", D8, "g1", "g2")
+    assert code == 2
+    assert _problems(text) == ["igs fails the closure conditions",
+                               "sift membership disagrees with enumeration",
+                               "subgroup order disagrees with enumeration"]
 
 
 def test_missing_file_is_error():

@@ -251,11 +251,10 @@ def test_generator_order_does_not_matter(corpus):
     rng = random.Random(71)
     for pres in corpus.values():
         gens = [helpers.random_element(pres, rng) for _ in range(3)]
-        seq = pg.canonical_igs(_subgroup_igs(pres, gens))
+        seq = _subgroup_igs(pres, gens)
         for _ in range(3):
             rng.shuffle(gens)
-            shuffled = pg.canonical_igs(_subgroup_igs(pres, gens))
-            assert shuffled == seq
+            assert _subgroup_igs(pres, gens) == seq
 
 
 def test_unit_leading_exponents_give_whole_group():
@@ -380,26 +379,12 @@ def _closure_without_skip(pres, gens):
                     c = u.commutator(h)
                     if not c.is_identity:
                         queue.append(c)
-    return _reduce_infinite_depths(pigs)
-
-
-def _reduce_infinite_depths(seq):
-    """canonical_igs restricted to the depths of infinite relative order."""
-    gens = list(seq)
-    orders = seq.presentation.orders
-    for t in reversed(range(len(gens))):
-        for k in range(t + 1, len(gens)):
-            d = gens[k].depth()
-            if orders[d - 1] == 0:
-                q = gens[t].exponents[d - 1] // gens[k].exponents[d - 1]
-                if q:
-                    gens[t] = gens[t] * gens[k] ** (-q)
-    return pg.Igs(seq.presentation, gens)
+    return _shallowest_first_canonical(pigs)
 
 
 def test_closure_matches_reference_without_skip():
     # skipping a pair whose commutator is not the identity would drop a
-    # queue entry and change the raw igs, not just its canonical form
+    # queue entry and change the igs
     groups = [helpers.load_data(path.name) for path in sorted(helpers.DATA.glob("*.pcp"))]
     groups += [helpers.free_abelian(4), helpers.carry_chain(10)]
     rng = random.Random(131)
@@ -409,6 +394,7 @@ def test_closure_matches_reference_without_skip():
                     for _ in range(rng.randint(1, 4))]
             expected = _closure_without_skip(pres, gens)
             got = pg.igs_by_generators(pres, gens)
+            assert pg.verify_igs(list(got))
             assert [u.exponents for u in got] == [u.exponents for u in expected]
 
 
@@ -612,21 +598,17 @@ def test_reduced_elimination_matches_unreduced_reference():
     rng = random.Random(137)
     sets = 0
     for pres in groups:
-        finite = all(pres.orders)
         for _ in range(75):
             gens = [helpers.random_element(pres, rng, spread=4)
                     for _ in range(rng.randint(1, 3))]
             expected = _unreduced_closure(pres, gens)
             got = pg.igs_by_generators(pres, gens)
             assert pg.verify_igs(list(got))
-            assert pg.canonical_igs(got) == pg.canonical_igs(expected)
+            assert got == _shallowest_first_canonical(expected)
             for t, u in enumerate(got.gens):
                 for v in got.gens[t + 1:]:
                     d = v.depth()
-                    if pres.orders[d - 1] == 0:
-                        assert 0 <= u.exponents[d - 1] < v.exponents[d - 1]
-            if finite:
-                assert [u.exponents for u in got] == [u.exponents for u in expected]
+                    assert 0 <= u.exponents[d - 1] < v.exponents[d - 1]
             sets += 1
     assert sets >= 800
 
@@ -681,10 +663,10 @@ def _shallowest_first_canonical(seq):
     return pg.Igs(seq.presentation, gens)
 
 
-# SHA-256 of the raw igs of every set in the test below.  It pins the
-# output of elimination exactly: a change that moves any raw igs entry
-# fails here, and must say why before it updates this value
-_RAW_IGS_DIGEST = "0f90e4e191d65fb18bd6945da1642d1c80b3a5139aeb0ab70f67dbfbbe06e32a"
+# SHA-256 of the igs of every set in the test below.  It pins the output
+# of elimination exactly: a change that moves any igs entry fails here,
+# and must say why before it updates this value
+_RAW_IGS_DIGEST = "43e935313a24d07513912a51a5cfecab934fe1749e398c5d4e63550f542a11ab"
 
 
 def test_igs_helpers_match_sliced_and_shallowest_first_references():
@@ -702,7 +684,7 @@ def test_igs_helpers_match_sliced_and_shallowest_first_references():
             seq = pg.igs_by_generators(pres, gens)
             digest.update(repr([u.exponents for u in seq]).encode())
             assert pg.Igs(pres, seq.gens) == seq
-            assert pg.canonical_igs(seq) == _shallowest_first_canonical(seq)
+            assert pg.canonical_igs(seq) == seq == _shallowest_first_canonical(seq)
             assert pg.verify_igs(list(seq)) and _sliced_verify_igs(list(seq))
             partial = pg.Igs(pres, ())
             for g in gens[:rng.randint(1, 2)]:
