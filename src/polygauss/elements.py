@@ -23,14 +23,15 @@ to left.  Writing d for the current depth there are three cases:
   g_d^(+-2^t) over the set bits t of abs(f), so the conjugate of g_i
   takes at most bitlength(abs(f)) steps.  The images of each generator
   under those conjugations are memoised on the presentation: the image
-  at t = 0 is the stored (inverse) conjugate tail, and the image at t is
-  the image at t - 1 conjugated once more, syllable by syllable, with the
-  images at t - 1.
+  at t = 0 is the stored (inverse) conjugate tail itself, and the image
+  at t is the image at t - 1 conjugated once more, syllable by syllable,
+  with the images at t - 1.
 
-A power a^k of a conjugate image or a power tail whose support commutes
-pairwise (as every image in UT(n, Z) does) is a with its exponents
-scaled by k, pushed syllable by syllable; any other power, and the power
-of g_i in a pass past a commuting g_d, goes by binary powering.
+Images and power tails share the presentation's tail form: syllables
+(index, exponent) in increasing index.  A power a^k of either whose
+support commutes pairwise (:func:`_commute`; every image in UT(n, Z)
+does) is a with its exponents scaled by k; any other power, and the
+power of g_i in a pass past a commuting g_d, goes by binary powering.
 
 Every operation is one call of the primitive with a different word: a
 product a * b pushes the syllables of a into a copy of b, and an inverse
@@ -41,7 +42,7 @@ Element powers go by binary powering and carry the depths of their
 operands.  Every element made by an operation keeps the depth that
 collection returned, so the next operation on it starts without a scan.
 The mutable lists never leave the call that made them; exponent vectors
-of elements, memoised images and tails stay tuples.
+of elements stay tuples, and so do memoised images and power tails.
 
 All exponents are exact Python integers; nothing here is approximate.
 A relative order is an int or :data:`INFINITE`, the one value used for
@@ -108,35 +109,13 @@ def _unit(pres: PcPresentation, i: int) -> Vector:
     return (0,) * (i - 1) + (1,) + (0,) * (pres.num_gens - i)
 
 
-def _support(vec) -> int:
-    """Bitmask of the support of `vec`: bit i - 1 set when g_i occurs in it."""
-    mask = 0
-    for idx, e in enumerate(vec):
-        if e:
-            mask |= 1 << idx
-    return mask
-
-
-def _clash(pres: PcPresentation, vec) -> int:
-    """Bitmask of the generators that fail, by the presentation, to commute with `vec`.
-
-    Bit j - 1 stands for g_j, as in :attr:`PcPresentation.noncommuting`.
-    An element whose support misses them commutes with `vec` exactly, and
-    the generators in the support of `vec` commute pairwise exactly when
-    ``_clash(pres, vec) & _support(vec) == 0``.
-    """
-    mask = 0
-    for idx, e in enumerate(vec):
-        if e:
-            mask |= pres.noncommuting[idx]
-    return mask
-
-
-def _from_tail(pres: PcPresentation, tail) -> Vector:
-    vec = [0] * pres.num_gens
-    for i, e in tail:
-        vec[i - 1] = e
-    return tuple(vec)
+def _commute(pres: PcPresentation, syllables) -> bool:
+    """Whether the generators of `syllables` commute pairwise, by the presentation."""
+    support = clash = 0
+    for j, _ in syllables:
+        support |= 1 << (j - 1)
+        clash |= pres.noncommuting[j - 1]
+    return not clash & support
 
 
 def _word(vec, d: int):
@@ -195,8 +174,7 @@ def _lmul(pres: PcPresentation, vec: list, d: int, word) -> int:
                     vec[i - 1] = 0
                     d = _depth(vec, i + 1) if d == i else d
                     pending = (word, i, y, pending)
-                    tail = _from_tail(pres, pres.power_tail(i))
-                    word = _power_word(pres, tail, i + 1, q)
+                    word = _power_word(pres, pres.power_tail(i), q)
                     break
             vec[i - 1] = y
             if y:
@@ -220,84 +198,85 @@ def _pass_word(pres: PcPresentation, i: int, x: int, d: int, f: int):
     benchmark whose memory does not grow with throughput (ROADMAP item 1).
     """
     if pres.noncommuting[i - 1] >> (d - 1) & 1:
-        return _power_word(pres, _gen_conj_by_power(pres, i, d, f), d + 1, x)
+        return _power_word(pres, _gen_conj_by_power(pres, i, d, f), x)
     p, dp = _pow(pres, _unit(pres, i), i, x)
     return _word(p, dp)
 
 
-def _power_word(pres: PcPresentation, a, start: int, k: int):
-    """Syllables of a^k, right to left, for a normal form a of depth >= start.
+def _power_word(pres: PcPresentation, a, k: int):
+    """Syllables of a^k, right to left, for a nonempty syllable tuple a.
 
     When a's support commutes pairwise, (g_j1^e1 ... g_jm^em)^k =
     g_j1^(e1 k) ... g_jm^(em k), power relations included: a's syllables
     scaled by k.  Otherwise a^k goes by binary powering.
     """
-    if _clash(pres, a) & _support(a):
-        p, dp = _pow(pres, a, _depth(a, start), k)
-        return _word(p, dp)
-    return ((j, e * k) for j, e in _word(a, start))
+    if _commute(pres, a):
+        return ((j, e * k) for j, e in reversed(a))
+    vec = [0] * pres.num_gens
+    for j, e in a:
+        vec[j - 1] = e
+    p, dp = _pow(pres, vec, a[0][0], k)
+    return _word(p, dp)
 
 
-def _gen_conj_by_power(pres: PcPresentation, i: int, j: int, f: int) -> Vector:
-    """Normal form of g_i conjugated by g_j^f, for j < i.
+def _gen_conj_by_power(pres: PcPresentation, i: int, j: int, f: int):
+    """Syllables of g_i conjugated by g_j^f, for j < i.
 
     The conjugations by g_j^(sign * 2^t) commute with each other, so they
     are applied over the set bits t of abs(f) from the lowest up.
     """
     if f == 0:
-        return _unit(pres, i)
+        return ((i, 1),)
     sign = 1 if f > 0 else -1
     f = abs(f)
     t = (f & -f).bit_length() - 1
-    vec = _image(pres, i, j, sign, t)
+    syl = _image(pres, i, j, sign, t)
     f >>= t + 1
     while f:
         t += 1
         if f & 1:
-            vec = _conj_by_image(pres, vec, j, sign, t)
+            syl = _conj_by_image(pres, syl, j, sign, t)
         f >>= 1
-    return vec
+    return syl
 
 
-def _image(pres: PcPresentation, k: int, j: int, sign: int, t: int) -> Vector:
-    """Normal form of g_k conjugated by g_j^(sign * 2^t), for j < k.
+def _image(pres: PcPresentation, k: int, j: int, sign: int, t: int):
+    """Syllables of g_k conjugated by g_j^(sign * 2^t), for j < k.
 
     Memoised on the presentation under the key (k, j, sign, t); missing
     levels are filled bottom-up, each from the one below, so every level
     from 0 to t is present afterwards.  Each key has one possible value,
-    so threads that fill the same level twice store the same vector.
+    so threads that fill the same level twice store the same syllables.
     """
     if pres.commutes(k, j):
-        return _unit(pres, k)
+        return ((k, 1),)
     memo = pres._memo
-    vec = memo.get((k, j, sign, t))
-    if vec is not None:
-        return vec
+    syl = memo.get((k, j, sign, t))
+    if syl is not None:
+        return syl
     s = t - 1
     while s >= 0 and (k, j, sign, s) not in memo:
         s -= 1
     if s < 0:
         s = 0
-        vec = memo[(k, j, sign, 0)] = _from_tail(pres, pres.conjugate_tail(k, j, sign))
+        syl = memo[(k, j, sign, 0)] = pres.conjugate_tail(k, j, sign)
     else:
-        vec = memo[(k, j, sign, s)]
+        syl = memo[(k, j, sign, s)]
     while s < t:
-        vec = _conj_by_image(pres, vec, j, sign, s)
+        syl = _conj_by_image(pres, syl, j, sign, s)
         s += 1
-        memo[(k, j, sign, s)] = vec
-    return vec
+        memo[(k, j, sign, s)] = syl
+    return syl
 
 
-def _conj_by_image(pres: PcPresentation, vec: Vector, j: int, sign: int,
-                   t: int) -> Vector:
-    """Conjugate an element beyond depth j by g_j^(sign * 2^t), syllable-wise."""
+def _conj_by_image(pres: PcPresentation, syl, j: int, sign: int, t: int):
+    """Conjugate the syllables of an element beyond depth j by g_j^(sign * 2^t)."""
     n = pres.num_gens
     result = [0] * n
     d = n + 1
-    for k, e in _word(vec, j + 1):
-        image = _image(pres, k, j, sign, t)
-        d = _lmul(pres, result, d, _power_word(pres, image, j + 1, e))
-    return tuple(result)
+    for k, e in reversed(syl):
+        d = _lmul(pres, result, d, _power_word(pres, _image(pres, k, j, sign, t), e))
+    return tuple((k, result[k - 1]) for k in range(d, n + 1) if result[k - 1])
 
 
 def _collected(pres: PcPresentation, word, b: Vector, db: int):

@@ -60,7 +60,7 @@ import math
 from collections import deque
 from typing import Iterable, NamedTuple
 
-from .elements import INFINITE, Element, _clash, _support, check_binding
+from .elements import INFINITE, Element, _commute, check_binding
 from .presentation import PcPresentation
 
 
@@ -215,6 +215,28 @@ def _slot_table(pres: PcPresentation, gens: Iterable[Element]) -> list:
     return slots
 
 
+def _support(vec) -> int:
+    """Bitmask of the support of `vec`: bit i - 1 set when g_i occurs in it."""
+    mask = 0
+    for idx, e in enumerate(vec):
+        if e:
+            mask |= 1 << idx
+    return mask
+
+
+def _clash(pres: PcPresentation, vec) -> int:
+    """Bitmask of the generators that fail, by the presentation, to commute with `vec`.
+
+    Bit j - 1 stands for g_j, as in :attr:`PcPresentation.noncommuting`.
+    An element whose support misses them commutes with `vec` exactly.
+    """
+    mask = 0
+    for idx, e in enumerate(vec):
+        if e:
+            mask |= pres.noncommuting[idx]
+    return mask
+
+
 def _power_is_trivial(pres: PcPresentation, vec, k: int) -> bool:
     """Whether u^k = 1 by the presentation alone, for the normal form vec of u.
 
@@ -223,15 +245,12 @@ def _power_is_trivial(pres: PcPresentation, vec, k: int) -> bool:
     r_j > 0 dividing k * e and no power tail, so that g_j^(k e) = 1.
     """
     orders, powers = pres.orders, pres.powers
-    support = clash = 0
-    for idx, e in enumerate(vec):
-        if e:
-            r = orders[idx]
-            if not r or k * e % r or idx + 1 in powers:
-                return False
-            support |= 1 << idx
-            clash |= pres.noncommuting[idx]
-    return not clash & support
+    syllables = [(j, e) for j, e in enumerate(vec, 1) if e]
+    for j, e in syllables:
+        r = orders[j - 1]
+        if not r or k * e % r or j in powers:
+            return False
+    return _commute(pres, syllables)
 
 
 def _divided(x: Element, u: Element, d: int) -> Element:

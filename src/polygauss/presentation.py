@@ -104,7 +104,7 @@ class PcPresentation:
     g_j fail to commute by the presentation (see :meth:`commutes`).
 
     Collection keeps a private memo here, filled on first use: the
-    conjugates of g_k by g_j^(+-2^t) as exponent vectors.
+    conjugates of g_k by g_j^(+-2^t) as syllable tuples in the tails' form.
     It is derived from the tables, so the tables must not be mutated
     after construction.  The memo takes no part in equality, hashing,
     copying or pickling: a copy starts with an empty one.

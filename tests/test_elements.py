@@ -411,13 +411,13 @@ def test_conjugation_matches_step_by_step(name):
     pres = _conjugation_corpus()[name]
     for i in range(2, pres.num_gens + 1):
         for j in range(1, i):
-            assert _conj(pres, i, j, 0) == pg.generator(pres, i).exponents
+            assert _ref_vec(pres, _conj(pres, i, j, 0)) == pg.generator(pres, i).exponents
     for i, j in _noncommuting_pairs(pres):
         # collection conjugates by a negative power of g_j only when r_j = 0
         for sign in (1, -1) if pres.orders[j - 1] == 0 else (1,):
             steps = _conj_by_steps(pres, i, j, sign, 300)
             for f, expected in enumerate(steps, 1):
-                assert _conj(pres, i, j, sign * f) == expected, (i, j, sign * f)
+                assert _ref_vec(pres, _conj(pres, i, j, sign * f)) == expected, (i, j, sign * f)
     if name == "stray_invconj_z8":
         # the stray invconj entry is never read, so every pair commutes
         assert not _noncommuting_pairs(pres)
@@ -524,7 +524,18 @@ def test_collection_never_writes_into_shared_vectors():
             assert all(type(v) is tuple for v in pres._memo.values())
             assert all(list(pres._memo[key]) == v for key, v in memo.items())
             memo = {key: list(v) for key, v in pres._memo.items()}
+            # images share the power tails' form: syllables beyond depth j
+            # with strictly increasing indices and exponents in normal form
+            for (_, j, _, _), syllables in pres._memo.items():
+                assert syllables  # _power_word reads the depth off the first
+                prev = j
+                for k, e in syllables:
+                    r = pres.orders[k - 1]
+                    assert k > prev and e and (not r or 0 < e < r), syllables
+                    prev = k
         assert memo or not pres.conjugates  # the memo check was not vacuous
+        with pytest.raises(AttributeError):
+            operands[0].exponents = before[0]
         assert {i: tuple(t) for i, t in pres.powers.items()} == powers
         assert all(type(pres.power_tail(i)) is tuple for i in pres.powers)
 
