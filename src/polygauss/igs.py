@@ -26,23 +26,20 @@ entry at e.  Each new or merged slot entry is reduced before it is placed.
 After the sweep, entries it left untouched are reduced again where the
 closure has no work for them.
 
-:func:`igs_by_generators` drives this to closure, additionally feeding
-back relative-order powers and the commutators of every changed slot
-with the other slots.  A pair is skipped when every generator in the
-support of one entry commutes, by the presentation, with every generator
-in the support of the other: its commutator is then exactly the
-identity, which would not be fed back anyway.  A power u^r is skipped
-when the presentation alone shows u^r = 1 (:func:`_power_is_trivial`):
-u's support commutes pairwise, so u^r is u with its exponents times r,
-and every generator in it has a finite relative order dividing its
-exponent times r and no power tail.  After closure the
-occupied slots form an igs: depths strictly increase, each
-power u^r(u) with finite relative order sifts to the identity through
-the later entries, and so does each conjugate u_i^{u_j} (j < i).  These
-closure conditions are decidable by :func:`verify_igs`, which skips the
-conjugates of pairs that commute by the same test and the powers that
-are 1 by the presentation, and make membership
-testing by depth-wise division (:func:`sift`) exact.
+The occupied slots form an igs when depths strictly increase and the
+closure conditions hold: for each entry u, the power u^r(u) of a finite
+relative order and the commutators [u, v] with the later entries v sift
+to the identity through the later entries.  :func:`_obligations` yields
+these powers and commutators, and is the only place that spells them.
+It skips a power when the presentation alone shows u^r = 1
+(:func:`_power_is_trivial`), and a commutator when every generator in
+the support of one entry commutes, by the presentation, with every
+generator in the support of the other, so that it is exactly the
+identity.  :func:`igs_by_generators` drives elimination to closure by
+feeding back the non-identity obligations of every changed slot against
+all the other slots.  :func:`verify_igs` decides the closure conditions
+by sifting each entry's obligations against the later entries; they
+make membership testing by depth-wise division (:func:`sift`) exact.
 
 :func:`igs_by_generators` ends with :func:`canonical_igs`: deepest
 entry first, each entry is reduced against the deeper entries, which are
@@ -290,6 +287,26 @@ def _reduced(u: Element, d: int, slots: list) -> Element:
     return u
 
 
+def _obligations(pres: PcPresentation, u: Element, others: Iterable[Element]):
+    """The closure conditions of the entry u: the elements that must sift.
+
+    Yields u^rel for a finite relative order rel, then u's commutator with
+    each entry h of `others` in turn, h = u excluded.  The skips are the
+    ones the presentation decides: the power when u^rel = 1 by
+    :func:`_power_is_trivial`, and the commutator when every generator in
+    h's support commutes with every generator in u's, which makes it
+    exactly the identity.
+    """
+    rel = u.relative_order()
+    if rel is not INFINITE and not _power_is_trivial(pres, u.exponents, rel):
+        yield u ** rel
+    clash = _clash(pres, u.exponents)
+    if clash:
+        for h in others:
+            if h is not u and _support(h.exponents) & clash:
+                yield u.commutator(h)
+
+
 def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
     """Compute the canonical igs of the subgroup generated by the given elements.
 
@@ -301,23 +318,11 @@ def igs_by_generators(pres: PcPresentation, gens: Iterable[Element]) -> Igs:
     seq = Igs(pres, ())
     queue = deque(g for g in gens if not g.is_identity)
     while queue:
-        g = queue.popleft()
-        seq, changes = add_gen_to_pigs(seq, g)
+        seq, changes = add_gen_to_pigs(seq, queue.popleft())
         for d in sorted(changes):
-            u = changes[d]
-            rel = u.relative_order()
-            if rel is not INFINITE and not _power_is_trivial(pres, u.exponents, rel):
-                p = u ** rel
-                if not p.is_identity:
-                    queue.append(p)
-            clash = _clash(pres, u.exponents)
-            if not clash:
-                continue
-            for h in seq.gens:
-                if h is not u and _support(h.exponents) & clash:
-                    c = u.commutator(h)
-                    if not c.is_identity:
-                        queue.append(c)
+            for c in _obligations(pres, changes[d], seq.gens):
+                if not c.is_identity:
+                    queue.append(c)
     return canonical_igs(seq)
 
 
@@ -350,12 +355,14 @@ def sift(seq: Igs, g: Element) -> SiftResult:
 def verify_igs(candidate: Iterable[Element]) -> bool:
     """Decide the igs closure conditions for a depth-sorted, normalised list.
 
-    True iff depths strictly increase, every finite relative-order power
-    u_i^r(u_i) sifts to the identity through the entries after i, and
-    every conjugate u_i^{u_j} with j < i sifts to the identity through
-    the entries after j.  Both lie strictly deeper than the entry they are
-    checked after, and sifting only goes deeper, so they are sifted
-    through all the entries at once.
+    True iff depths strictly increase and, for each entry u_j, what
+    :func:`_obligations` yields against the entries after it sifts to the
+    identity through those entries: u_j^r(u_j) for a finite relative
+    order, and the commutators [u_j, u_i] with i > j.  Since
+    [u_j, u_i] = (u_i^{u_j})^-1 u_i, a commutator lies in
+    <u_(j+1), ...> exactly when the conjugate does.  Both the power and
+    the commutators lie strictly deeper than u_j, and sifting only goes
+    deeper, so they are sifted through all the entries at once.
     """
     elems = list(candidate)
     if not elems:
@@ -369,23 +376,9 @@ def verify_igs(candidate: Iterable[Element]) -> bool:
     if any(d2 <= d1 for d1, d2 in zip(depths, depths[1:])):
         return False
     slots = _slot_table(pres, elems)
-    for u in elems:
-        rel = u.relative_order()
-        # a power that is 1 by the presentation sifts at once
-        if rel is not INFINITE and not _power_is_trivial(pres, u.exponents, rel):
-            if not _sift_through(slots, u ** rel).membership:
-                return False
-    clashes = [_clash(pres, u.exponents) for u in elems]
-    supports = [_support(u.exponents) for u in elems]
-    for j in range(len(elems)):
-        for i in range(j + 1, len(elems)):
-            # a commuting pair gives u_i^{u_j} = u_i, which sifts at once
-            if not supports[j] & clashes[i]:
-                continue
-            conj = elems[i].conjugate(elems[j])
-            if not _sift_through(slots, conj).membership:
-                return False
-    return True
+    return all(_sift_through(slots, c).membership
+               for j, u in enumerate(elems)
+               for c in _obligations(pres, u, elems[j + 1:]))
 
 
 def subgroup_order(seq: Igs):

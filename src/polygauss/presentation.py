@@ -260,7 +260,8 @@ def _tail_tokens(tokens, where: str) -> tuple[Syllable, ...]:
 def load_presentation(source: str | bytes | IO) -> PcPresentation:
     """Parse and validate a presentation from PCP-format text.
 
-    Accepts a string, bytes, or a readable file object.  Raises
+    Accepts a string, bytes, or a readable file object; one leading
+    byte-order mark (U+FEFF) is ignored.  Raises
     :class:`PcpSyntaxError` for malformed text and
     :class:`PcpValidationError` for structural violations.
     """
@@ -268,6 +269,7 @@ def load_presentation(source: str | bytes | IO) -> PcPresentation:
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
+    source = source.removeprefix("\ufeff")
 
     n = None
     orders = None

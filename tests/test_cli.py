@@ -258,3 +258,41 @@ def test_import_skips_dataclasses():
          "import sys, polygauss.cli; print('dataclasses' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _fuzz_argv(rng, paths):
+    """An argv list drawn from the flags, commands, files and words the CLI reads."""
+    flags = ["--machine", "--machine", "--bound", "--bound", "-h", "--frob", "-", "--"]
+    bounds = ["1", "8", "100", "0", "-3", "x", "1_0", "+5", "٥", "5.0", ""]
+    words = ["g1", "g2", "g3^-1", "g2^2*g1", "g1^-3*g3^5", "1", "", " g1 ",
+             "g1^18446744073709551617", "--", "--",
+             "g0", "g9", "g1^", "^2", "g1**2", "g1^+2", "g1^1_0", "g١", "x", "g1*", "*g2"]
+    argv = []
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        flag = rng.choice(flags)
+        argv.append(flag)
+        if flag == "--bound" and rng.random() < 0.9:
+            argv.append(rng.choice(bounds))
+    if rng.random() < 0.95:
+        argv.append(rng.choice(cli.COMMANDS + ("frobnicate",)))
+    if rng.random() < 0.95:
+        argv.append(rng.choice(paths))
+    argv += [rng.choice(words) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.05:
+        rng.shuffle(argv)
+    return argv
+
+
+def test_main_fuzz_exits_cleanly(tmp_path, capsys):
+    # every request ends in an exit status, never in a traceback
+    paths = [str(p) for p in sorted(helpers.DATA.glob("*.pcp"))]
+    paths += [str(tmp_path / "missing.pcp"), str(helpers.DATA)]
+    rng = random.Random(4711)
+    codes = []
+    for _ in range(3000):
+        argv = _fuzz_argv(rng, paths)
+        codes.append(cli.main(argv))
+        assert codes[-1] in (0, 1, 2), argv
+        capsys.readouterr()
+    # the requests reach answers and errors alike
+    assert codes.count(0) >= 100 and codes.count(1) >= 100

@@ -398,6 +398,14 @@ def test_closure_matches_reference_without_skip():
             assert [u.exponents for u in got] == [u.exponents for u in expected]
 
 
+def _clashing_pairs(seq):
+    """Entry pairs whose supports hold a generator pair that fails to commute."""
+    pres = seq.presentation
+    supports = [[k for k, e in enumerate(u.exponents, start=1) if e] for u in seq]
+    return sum(not all(pres.commutes(a, b) for a in s for b in t)
+               for j, s in enumerate(supports) for t in supports[j + 1:])
+
+
 def test_closure_commutator_calls(monkeypatch):
     calls = 0
     original = pg.Element.commutator
@@ -409,43 +417,48 @@ def test_closure_commutator_calls(monkeypatch):
 
     monkeypatch.setattr(pg.Element, "commutator", counted)
 
-    def closure_calls(pres, gens, verify=True):
+    def closure_calls(pres, gens):
+        # verify_igs computes one commutator per pair the presentation
+        # does not decide, the same closure conditions the elimination feeds
         nonlocal calls
         calls = 0
         seq = pg.igs_by_generators(pres, gens)
         made = calls
-        assert not verify or pg.verify_igs(list(seq))
-        return made, seq
+        calls = 0
+        assert pg.verify_igs(list(seq))
+        assert calls == _clashing_pairs(seq)
+        return made, calls, seq
 
     z4 = helpers.free_abelian(4)
     rows = [(3, -2, 4, 1), (-1, 4, 0, 2), (2, 2, -3, 4), (4, -1, 1, -4)]
-    made, seq = closure_calls(z4, [pg.Element(z4, r) for r in rows])
-    assert made == 0 and pg.subgroup_index(z4, seq) != 1
+    made, checked, seq = closure_calls(z4, [pg.Element(z4, r) for r in rows])
+    assert made == checked == 0 and pg.subgroup_index(z4, seq) != 1
 
     chain = helpers.carry_chain(10)
-    made, seq = closure_calls(chain, [pg.Element(chain, (0, 1, 1, 0, 1, 0, 0, 1, 1, 1)),
-                                      pg.Element(chain, (0, 0, 1, 1, 0, 1, 1, 0, 0, 1))])
-    assert made == 0 and pg.subgroup_order(seq) == 2 ** 9
+    made, checked, seq = closure_calls(
+        chain, [pg.Element(chain, (0, 1, 1, 0, 1, 0, 0, 1, 1, 1)),
+                pg.Element(chain, (0, 0, 1, 1, 0, 1, 1, 0, 0, 1))])
+    assert made == checked == 0 and pg.subgroup_order(seq) == 2 ** 9
 
     chain = helpers.carry_chain(64)
     g = pg.generators(chain)
-    made, seq = closure_calls(chain, [g[0] * g[63], g[5], g[40]])
-    assert made == 0 and pg.subgroup_order(seq) == 2 ** 64
+    made, checked, seq = closure_calls(chain, [g[0] * g[63], g[5], g[40]])
+    assert made == checked == 0 and pg.subgroup_order(seq) == 2 ** 64
     assert [(u.depth(), u.leading_exponent()) for u in seq] == [(d, 1) for d in range(1, 65)]
 
     heis = helpers.heisenberg()
     x, y, z = pg.generators(heis)
-    made, seq = closure_calls(heis, [x ** 2, y ** 3])
-    assert made > 0 and pg.subgroup_index(heis, seq) == 36
+    made, checked, seq = closure_calls(heis, [x ** 2, y ** 3])
+    assert made > 0 and checked > 0 and pg.subgroup_index(heis, seq) == 36
 
     d8 = helpers.dihedral8()
-    made, seq = closure_calls(d8, pg.generators(d8)[:2])
-    assert made > 0 and pg.subgroup_order(seq) == 8
+    made, checked, seq = closure_calls(d8, pg.generators(d8)[:2])
+    assert made > 0 and checked > 0 and pg.subgroup_order(seq) == 8
 
     stray = helpers.stray_invconj_z8()
     assert stray.commutes(2, 1) and pg.validate_inverse_tails(stray) == [(2, 1)]
-    made, seq = closure_calls(stray, pg.generators(stray)[:2])
-    assert made == 0 and pg.subgroup_order(seq) == 8
+    made, checked, seq = closure_calls(stray, pg.generators(stray)[:2])
+    assert made == checked == 0 and pg.subgroup_order(seq) == 8
 
 
 def _commuting_element(pres, rng):

@@ -44,6 +44,20 @@ def test_load_accepts_bytes_and_file(tmp_path):
         assert pg.load_presentation(handle) == pg.load_presentation(D8_TEXT)
 
 
+@pytest.mark.parametrize("form", ["str", "bytes", "file"])
+def test_load_ignores_one_byte_order_mark(tmp_path, form):
+    # some editors save UTF-8 text with a leading U+FEFF
+    data = b"\xef\xbb\xbf" + D8_TEXT.encode()
+    if form == "file":
+        path = tmp_path / "d8.pcp"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as handle:
+            loaded = pg.load_presentation(handle)
+    else:
+        loaded = pg.load_presentation(data if form == "bytes" else data.decode("utf-8"))
+    assert loaded == pg.load_presentation(D8_TEXT)
+
+
 def test_tail_index_not_above_key_rejected():
     # tail of conj 2 1 may only use generators beyond g1
     with pytest.raises(pg.PcpValidationError):
@@ -100,6 +114,8 @@ def test_power_relation_for_infinite_generator_rejected():
     "pcp 2\norders 0 0\nconj 2 1 2^+1\n",
     "pcp 2\norders 0 0\nconj 2 1 2^--1\n",
     "pcp 2\norders 0 0\nconj 2 1 2^-\n",
+    # one leading byte-order mark is ignored; a second is text
+    "\ufeff\ufeffpcp 1\norders 2\n",
 ])
 def test_malformed_text_rejected(text):
     with pytest.raises(pg.PcpSyntaxError):
@@ -321,3 +337,48 @@ def test_word_parsing():
 
 def test_format_word_drops_zero_exponents():
     assert pg.format_word([(1, 1), (2, 0), (3, -2)]) == "g1*g3^-2"
+
+
+# the loader's input alphabet: the keywords, small and negative integers,
+# tail syllables, and junk near the grammar (other integer spellings, stray
+# carets and comment marks, a byte-order mark, a huge number)
+_FUZZ_KEYWORDS = ["pcp", "orders"] + ["conj", "invconj", "power"] * 4
+_FUZZ_INTEGERS = [str(k) for k in range(-2, 6)]
+_FUZZ_SYLLABLES = [f"{i}^{e}" for i in range(-1, 6) for e in (-2, -1, 0, 1, 2, 3)]
+_FUZZ_JUNK = ["^", "1^", "^2", "2^^1", "1^2^3", "g1", "+2", "1_0", "٣", "２", "2.0",
+              "#", "# x", "\ufeff", "\t", "x", "-", "--1", "10" * 12, "PCP"]
+
+
+def _fuzz_text(rng):
+    def token(pool):
+        return rng.choice(pool if rng.random() < 0.95 else _FUZZ_JUNK)
+
+    lines = []
+    if rng.random() < 0.8:
+        # a header the loader accepts, so the statements behind it are read
+        n = rng.randint(1, 4)
+        lines += [f"pcp {n}", "orders " + " ".join(rng.choice("0234") for _ in range(n))]
+    for _ in range(rng.randint(0, 5)):
+        # a statement: keyword, the integers that key it, then a tail
+        words = [token(_FUZZ_KEYWORDS)]
+        words += [token(_FUZZ_INTEGERS) for _ in range(rng.choice((0, 1, 2, 2, 2)))]
+        words += [token(_FUZZ_SYLLABLES) for _ in range(rng.randint(0, 3))]
+        lines.append(" ".join(words))
+    if rng.random() < 0.1:
+        rng.shuffle(lines)
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+
+
+def test_loader_fuzz_returns_or_raises_pcp_error():
+    rng = random.Random(8086)
+    loaded = 0
+    for _ in range(3000):
+        text = _fuzz_text(rng)
+        try:
+            pres = pg.load_presentation(text if rng.random() < 0.5 else text.encode())
+        except pg.PcpError:
+            continue
+        loaded += 1
+        assert pg.load_presentation(pg.save_presentation(pres)) == pres, text
+    # the texts reach past the header checks, and some are presentations
+    assert loaded >= 100
